@@ -4,16 +4,22 @@ Prediction, projection, insertion and eviction all run in O(B^2) or
 better once the inverse is current: insertion borders H^-1 with the
 Schur complement of the new column, eviction applies the rank-1
 downdate of the deleted row/column.
+
+Stored feature vectors sit in physical slots that never move; a
+logical-order slot map gives each entry's slot. Eviction frees a slot and
+shifts only the O(B) per-entry arrays and H, H^-1; the next insert reuses
+the slot. The store is feature-major (d x capacity), so a sparse query's
+kernel column reads one short contiguous run per nonzero feature.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetFull, ZeroNormInstance
+from .errors import BudgetFull
 from .graph import InteractionModel
 from .kernels import (KernelSpec, MultitaskInstance, dense_gram,
-                      dense_kernel_vector, dense_self_raw)
+                      dense_kernel_vector, make_queries)
 
 RIDGE = 1e-10
 _SCHUR_MIN = 1e-10
@@ -26,6 +32,10 @@ class ActiveSet:
     and weights are one scalar per entry. kernel_mode "single": Gram entries
     are K'(x_i, x_j), task markers are ignored by projections, and weights
     form a k x |S| matrix (one prediction function per task).
+
+    Every operation takes an optional `query` (kernels.Query) of q, as the
+    streaming harness builds once per example; without one it is built
+    from q.
     """
 
     def __init__(self, budget, dim, spec: KernelSpec, model: InteractionModel,
@@ -43,11 +53,20 @@ class ActiveSet:
         self.regularized = False
         self.n = 0
         self._cap = 16
-        self._X = np.zeros((self._cap, dim))
-        self._tasks = np.zeros(self._cap, dtype=np.int64)
-        self._times = np.zeros(self._cap, dtype=np.int64)
+        # Per slot, never moved: feature column, raw self kernel, squared
+        # norm, the entry's SparseVector and the Query it was inserted with.
+        self._X = np.zeros((dim, self._cap))
         self._self_raw = np.zeros(self._cap)
         self._sq = np.zeros(self._cap)
+        self._points = [None] * self._cap
+        self._queries = [None] * self._cap
+        self._hi = 0        # slots ever used
+        self._free = []     # slots below _hi that hold no entry
+        self._in_order = True   # until the first eviction, slot j holds entry j
+        # Per entry, in logical order.
+        self._slot = np.zeros(self._cap, dtype=np.int64)
+        self._tasks = np.zeros(self._cap, dtype=np.int64)
+        self._times = np.zeros(self._cap, dtype=np.int64)
         self._clock = 0
         if kernel_mode == "single":
             self._W = np.zeros((model.k, self._cap))
@@ -59,7 +78,6 @@ class ActiveSet:
         else:
             self._H = None
             self._Hinv = None
-        self._instances = []  # original SparseVectors, for snapshots/audits
 
     # -- views ---------------------------------------------------------
 
@@ -87,92 +105,103 @@ class ActiveSet:
         return self._Hinv[:self.n, :self.n]
 
     def instance(self, j) -> MultitaskInstance:
-        return MultitaskInstance(self._instances[j], int(self._tasks[j]))
+        return MultitaskInstance(self._points[self._slot[j]], int(self._tasks[j]))
+
+    def query(self, j):
+        """The Query entry j was inserted with."""
+        return self._queries[self._slot[j]]
 
     def __len__(self):
         return self.n
 
     # -- kernel plumbing ----------------------------------------------
 
-    def _query(self, q: MultitaskInstance, cache=None):
-        """Dense row, raw self kernel and squared norm of a query.
+    def _prepare(self, q: MultitaskInstance, query=None):
+        if query is not None:
+            return query
+        return make_queries([q], self.dim, self.spec)[0]
 
-        `cache` short-circuits the conversion with a precomputed triple
-        (dense row, raw self kernel, squared norm) for hot streaming loops.
+    def _base_column(self, query):
+        """Base-kernel values of a query against the entries, in order.
+
+        The kernel runs over every used slot, on the store's rows at the
+        query's nonzeros (sparse) or on all of them (dense), and is then put
+        in entry order by the slot map once an eviction has permuted the
+        slots.
         """
-        if cache is not None:
-            return cache
-        x = q.x.to_dense(self.dim)
-        q_self = dense_self_raw(x, self.spec)
-        if self.spec.normalize and q_self <= 0.0:
-            raise ZeroNormInstance("zero-norm query instance")
-        return x, q_self, float(np.dot(x, x))
+        hi = self._hi
+        X = self._X[:, :hi] if query.idx is None else self._X[query.idx, :hi]
+        col = dense_kernel_vector(X.T, self._self_raw[:hi], self._sq[:hi],
+                                  query.x, query.self_raw, query.sq, self.spec)
+        return col if self._in_order else col[self._slot[:self.n]]
 
-    def kernel_column(self, q: MultitaskInstance, cache=None):
+    def kernel_column(self, q: MultitaskInstance, query=None):
         """Configured-kernel values of q against all stored entries."""
-        x, q_self, q_sq = self._query(q, cache)
+        query = self._prepare(q, query)
         if self.n == 0:
             return np.zeros(0)
-        col = dense_kernel_vector(self._X[:self.n], self._self_raw[:self.n],
-                                  self._sq[:self.n], x, q_self, q_sq, self.spec)
+        col = self._base_column(query)
         if self.kernel_mode == "multitask":
             col = col * self.model.inverse[self._tasks[:self.n] - 1, q.task - 1]
         return col
 
-    def self_kernel(self, q: MultitaskInstance):
+    def self_kernel(self, q: MultitaskInstance, query=None):
         """Configured kernel of q with itself (M_qq after normalization)."""
         if self.spec.normalize or self.spec.kind == "gaussian":
             base = 1.0
         else:
-            base = dense_self_raw(q.x.to_dense(self.dim), self.spec)
+            base = self._prepare(q, query).self_raw
         if self.kernel_mode == "multitask":
             return float(self.model.inverse[q.task - 1, q.task - 1]) * base
         return float(base)
 
     # -- public operations --------------------------------------------
 
-    def predict(self, q: MultitaskInstance, cache=None) -> float:
+    def predict(self, q: MultitaskInstance, query=None) -> float:
         if self.n == 0:
             return 0.0
-        x, q_self, q_sq = self._query(q, cache)
-        base = dense_kernel_vector(self._X[:self.n], self._self_raw[:self.n],
-                                   self._sq[:self.n], x, q_self, q_sq, self.spec)
+        base = self._base_column(self._prepare(q, query))
         if self.kernel_mode == "multitask":
             m = self.model.inverse[self._tasks[:self.n] - 1, q.task - 1]
             return float(np.dot(self._W[:self.n], m * base))
         return float(np.dot(self._W[q.task - 1, :self.n], base))
 
-    def projection(self, q: MultitaskInstance, cache=None):
+    def projection(self, q: MultitaskInstance, query=None):
         """(alphas, residual norm) of q's kernel function onto the span."""
-        kqq = self.self_kernel(q)
+        query = self._prepare(q, query)
+        kqq = self.self_kernel(q, query)
         if self.n == 0:
             return np.zeros(0), float(np.sqrt(kqq))
-        col = self.kernel_column(q, cache)
+        col = self.kernel_column(q, query)
         alphas = self._Hinv[:self.n, :self.n] @ col
         resid_sq = kqq - float(np.dot(col, alphas))
         return alphas, float(np.sqrt(max(resid_sq, 0.0)))
 
-    def insert(self, q: MultitaskInstance, weight, force=False, cache=None):
+    def insert(self, q: MultitaskInstance, weight, force=False, query=None):
         """Append q; `weight` is a scalar or, in single mode, a k-column."""
         if self.n >= self.budget and not force:
             raise BudgetFull("active set already holds %d entries" % self.n)
-        x, q_self, q_sq = self._query(q, cache)
-        col = self.kernel_column(q, (x, q_self, q_sq))
-        kqq = self.self_kernel(q)
+        query = self._prepare(q, query)
+        if self.maintain_inverse:
+            col = self.kernel_column(q, query)
+            kqq = self.self_kernel(q, query)
         n = self.n
         if n + 1 > self._cap:
             self._grow()
-        self._X[n] = x
+        if self._free:
+            slot = self._free.pop()
+        else:
+            slot = self._hi
+            self._hi += 1
+        self._store(slot, q.x, query)
+        self._slot[n] = slot
         self._tasks[n] = q.task
         self._times[n] = self._clock
         self._clock += 1
-        self._self_raw[n] = q_self
-        self._sq[n] = q_sq
         if self._W.ndim == 2:
             self._W[:, n] = weight
         else:
             self._W[n] = weight
-        self._instances.append(q.x)
         if self.maintain_inverse:
             self._H[n, :n] = col
             self._H[:n, n] = col
@@ -197,7 +226,7 @@ class ActiveSet:
 
         gamma has one coefficient per surviving entry, in the surviving
         order. With no maintained inverse the return value is None and the
-        removal is a plain deletion.
+        removal is a plain deletion. The entry's slot is freed in place.
         """
         n = self.n
         if not (0 <= r < n):
@@ -210,17 +239,14 @@ class ActiveSet:
             self._Hinv[:n, :n] -= np.outer(d, d) / pivot
             self._shift_out(self._Hinv, r, n)
             self._shift_out(self._H, r, n)
-        keep = np.arange(n) != r
-        self._X[:n - 1] = self._X[:n][keep]
-        self._tasks[:n - 1] = self._tasks[:n][keep]
-        self._times[:n - 1] = self._times[:n][keep]
-        self._self_raw[:n - 1] = self._self_raw[:n][keep]
-        self._sq[:n - 1] = self._sq[:n][keep]
+        self._free.append(int(self._slot[r]))
+        self._in_order = False
+        for arr in (self._slot, self._tasks, self._times):
+            arr[r:n - 1] = arr[r + 1:n]
         if self._W.ndim == 2:
-            self._W[:, :n - 1] = self._W[:, :n][:, keep]
+            self._W[:, r:n - 1] = self._W[:, r + 1:n]
         else:
-            self._W[:n - 1] = self._W[:n][keep]
-        del self._instances[r]
+            self._W[r:n - 1] = self._W[r + 1:n]
         self.n = n - 1
         return gammas
 
@@ -237,9 +263,29 @@ class ActiveSet:
 
     # -- maintenance ---------------------------------------------------
 
+    def _store(self, slot, point, query):
+        """Write an entry's features into `slot`, clearing what it held."""
+        vec = self._X[:, slot]
+        if query.idx is None:
+            vec[:] = query.x
+        else:
+            old = self._queries[slot]
+            if old is not None:
+                if old.idx is None:
+                    vec[:] = 0.0
+                else:
+                    vec[old.idx] = 0.0
+            vec[query.idx] = query.x
+        self._self_raw[slot] = query.self_raw
+        self._sq[slot] = query.sq
+        self._points[slot] = point
+        self._queries[slot] = query
+
     def _rebuild_inverse(self):
         n = self.n
-        G = dense_gram(self._X[:n], self._self_raw[:n], self._sq[:n], self.spec)
+        slots = self._slot[:n]
+        G = dense_gram(self._X[:, slots].T, self._self_raw[slots], self._sq[slots],
+                       self.spec)
         if self.kernel_mode == "multitask":
             Mi = self.model.inverse
             t = self._tasks[:n] - 1
@@ -251,10 +297,12 @@ class ActiveSet:
 
     def _grow(self):
         new_cap = self._cap * 2
-        self._X = self._resize2(self._X, (new_cap, self.dim))
-        for name in ("_tasks", "_times", "_self_raw", "_sq"):
+        self._X = self._resize2(self._X, (self.dim, new_cap))
+        for name in ("_self_raw", "_sq", "_slot", "_tasks", "_times"):
             arr = getattr(self, name)
             setattr(self, name, self._resize1(arr, new_cap))
+        self._points.extend([None] * (new_cap - self._cap))
+        self._queries.extend([None] * (new_cap - self._cap))
         if self._W.ndim == 2:
             self._W = self._resize2(self._W, (self._W.shape[0], new_cap))
         else:
@@ -291,7 +339,7 @@ class ActiveSet:
                 w = ",".join("%.17g" % v for v in self._W[:, j])
             else:
                 w = "%.17g" % self._W[j]
-            sv = self._instances[j]
+            sv = self.instance(j).x
             feats = " ".join("%d:%.17g" % (i, v)
                              for i, v in zip(sv.indices, sv.values))
             lines.append(("%d %s %s" % (self._tasks[j], w, feats)).rstrip())

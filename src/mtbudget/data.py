@@ -7,6 +7,7 @@ percentile binarization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,8 @@ def parse_dataset(path, k=None) -> DatasetStream:
                 label = float(toks[1])
             except ValueError:
                 raise ParseError("bad label %r" % toks[1], line_no)
+            if not math.isfinite(label):
+                raise ParseError("non-finite label %r" % toks[1], line_no)
             pairs = []
             for tok in toks[2:]:
                 try:
@@ -89,6 +92,8 @@ def parse_dataset(path, k=None) -> DatasetStream:
                     idx, val = int(idx_s), float(val_s)
                 except ValueError:
                     raise ParseError("bad feature token %r" % tok, line_no)
+                if not math.isfinite(val):
+                    raise ParseError("non-finite feature value %r" % tok, line_no)
                 if idx < 1:
                     raise ParseError("feature ids are 1-based, got %d" % idx,
                                      line_no)
@@ -100,8 +105,8 @@ def parse_dataset(path, k=None) -> DatasetStream:
             instances.append(MultitaskInstance(sv, task))
             labels.append(label)
             max_task = max(max_task, task)
-            if pairs:
-                max_feat = max(max_feat, max(idx for idx, _ in pairs))
+            if sv.indices.size:     # sorted, so the last id is the largest
+                max_feat = max(max_feat, int(sv.indices[-1]))
     return DatasetStream(instances, np.array(labels),
                          k if k is not None else max(max_task, 1), max_feat)
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .data import DatasetStream
 from .graph import TaskGraph
-from .kernels import KernelSpec, dense_self_raw
+from .kernels import KernelSpec, make_queries
 from .learners import LearnerConfig, PerceptronBattery, make_learner
 
 
@@ -44,21 +44,19 @@ def _active_size(learner):
 def run_stream(stream: DatasetStream, config: LearnerConfig,
                epochs=1) -> StreamMetrics:
     """Drive one learner over the stream; predictions are scored with the
-    pre-update state of each step."""
+    pre-update state of each step. Each example's query is built once, in
+    the form (sparse or dense) the stream's density favours, so a sparse
+    stream is never densified."""
     learner = make_learner(config, dim=stream.d)
     metrics = StreamMetrics(per_task=np.zeros((config.graph.k, 4), dtype=np.int64))
     examples = list(stream.iter_examples())
-    spec = config.kernel
-    caches = []
-    for ex in examples:
-        x = ex.instance.x.to_dense(stream.d)
-        caches.append((x, dense_self_raw(x, spec), float(np.dot(x, x))))
+    queries = make_queries(stream.instances, stream.d, config.kernel)
     total = len(examples) * epochs
     every = max(1, total // 100)
     step = 0
     for _ in range(epochs):
-        for ex, cache in zip(examples, caches):
-            outcome = learner.step(ex, cache)
+        for ex, query in zip(examples, queries):
+            outcome = learner.step(ex, query)
             step += 1
             t = ex.instance.task - 1
             if outcome.prediction == 1:

@@ -19,7 +19,7 @@ from .active_set import ActiveSet
 from .errors import DomainError, NoFeasibleShrink
 from .graph import TaskGraph, build_interaction_model
 from .kernels import (KernelSpec, MultitaskExample, MultitaskInstance,
-                      dense_kernel_vector, dense_self_raw)
+                      dense_kernel_vector, make_queries)
 
 ALGORITHMS = ("mtbprj", "mtbprj2", "mtrbp", "mtforg", "perceptron_battery")
 
@@ -74,39 +74,41 @@ class _KernelLearner:
                                     maintain_inverse=self.maintain_inverse)
         self.mistakes = 0
 
-    def predict_score(self, inst: MultitaskInstance, cache=None) -> float:
-        return self.active_set.predict(inst, cache)
+    def predict_score(self, inst: MultitaskInstance, query=None) -> float:
+        return self.active_set.predict(inst, query)
 
-    def step(self, example: MultitaskExample, cache=None) -> StepOutcome:
-        """One trial; `cache` optionally carries the precomputed dense
-        query triple used by the streaming harness."""
+    def step(self, example: MultitaskExample, query=None) -> StepOutcome:
+        """One trial; `query` optionally carries the example's kernels.Query,
+        which the streaming harness builds once per example."""
         inst, y = example.instance, example.label
-        score = self.predict_score(inst, cache)
+        if query is None:
+            query = make_queries([inst], self.active_set.dim, self.config.kernel)[0]
+        score = self.predict_score(inst, query)
         mistake = y * score <= 0
         action = "none"
         if mistake:
             self.mistakes += 1
-            action = self._update(inst, y, score, cache)
+            action = self._update(inst, y, score, query)
         return StepOutcome(prediction=1 if score >= 0 else -1,
                            score=score, mistake=mistake, action=action)
 
-    def _update(self, inst, y, score, cache):
+    def _update(self, inst, y, score, query):
         raise NotImplementedError
 
 
 class MTBudgetProjectron(_KernelLearner):
     """Projection-based budget learner under the multitask kernel."""
 
-    def _update(self, inst, y, score, cache):
+    def _update(self, inst, y, score, query):
         s = self.active_set
-        alphas, resid = s.projection(inst, cache)
+        alphas, resid = s.projection(inst, query)
         if resid <= self.config.eta:
             s.weights[:] += y * alphas
             return "weight_update_projection"
         if len(s) < s.budget:
-            s.insert(inst, y, cache=cache)
+            s.insert(inst, y, query=query)
             return "insert"
-        s.insert(inst, y, force=True, cache=cache)
+        s.insert(inst, y, force=True, query=query)
         beta = s.weights
         loo = s.leave_one_out_residuals()
         damage = np.abs(beta[:-1]) * loo[:-1]  # pre-existing entries only
@@ -122,18 +124,18 @@ class MTBudgetProjectron2(_KernelLearner):
 
     kernel_mode = "single"
 
-    def _update(self, inst, y, score, cache):
+    def _update(self, inst, y, score, query):
         s = self.active_set
         Mi = self.model.inverse
         col = y * Mi[:, inst.task - 1]  # weight column of a fresh insert
-        alphas, resid = s.projection(inst, cache)
+        alphas, resid = s.projection(inst, query)
         if resid <= self.config.eta:
             s.weights[:] += np.outer(col, alphas)
             return "weight_update_projection"
         if len(s) < s.budget:
-            s.insert(inst, col, cache=cache)
+            s.insert(inst, col, query=query)
             return "insert"
-        s.insert(inst, col, force=True, cache=cache)
+        s.insert(inst, col, force=True, query=query)
         W = s.weights
         loo = s.leave_one_out_residuals()
         damage = loo[:-1] * np.linalg.norm(W[:, :-1], axis=0)
@@ -154,14 +156,14 @@ class MTRandomizedBudgetPerceptron(_KernelLearner):
         super().__init__(config, dim)
         self.rng = np.random.default_rng(config.seed)
 
-    def _update(self, inst, y, score, cache):
+    def _update(self, inst, y, score, query):
         s = self.active_set
         if len(s) < s.budget:
-            s.insert(inst, y, cache=cache)
+            s.insert(inst, y, query=query)
             return "insert"
         r = int(self.rng.integers(len(s)))
         s.evict(r)
-        s.insert(inst, y, cache=cache)
+        s.insert(inst, y, query=query)
         return "insert_evict"
 
 
@@ -175,18 +177,18 @@ class MTForgetron(_KernelLearner):
         self.deficit = 0.0
         self._labels = []
 
-    def _update(self, inst, y, score, cache):
+    def _update(self, inst, y, score, query):
         s = self.active_set
         if len(s) < s.budget:
-            s.insert(inst, y, cache=cache)
+            s.insert(inst, y, query=query)
             self._labels.append(y)
             return "insert"
         r = s.oldest()
-        entry_r = s.instance(r)
         beta_r = float(s.weights[r])
         y_r = self._labels[r]
-        f_r = s.predict(entry_r)  # pre-update prediction on the evictee
-        s.insert(inst, y, force=True, cache=cache)
+        # pre-update prediction on the evictee, from its stored query
+        f_r = s.predict(s.instance(r), s.query(r))
+        s.insert(inst, y, force=True, query=query)
         self._labels.append(y)
         s.evict(r)
         del self._labels[r]
@@ -214,32 +216,33 @@ class PerceptronBattery:
         self._count = [0 for _ in range(self.k)]
         self.mistakes = 0
 
-    def predict_score(self, inst: MultitaskInstance, cache=None) -> float:
+    def predict_score(self, inst: MultitaskInstance, query=None) -> float:
         t = inst.task - 1
         n = self._count[t]
         if n == 0:
             return 0.0
-        if cache is None:
-            x = inst.x.to_dense(self.dim)
-            cache = (x, dense_self_raw(x, self.spec), float(np.dot(x, x)))
-        x, q_self, q_sq = cache
-        base = dense_kernel_vector(self._X[t][:n], self._self_raw[t][:n],
-                                   self._sq[t][:n], x, q_self, q_sq, self.spec)
+        if query is None:
+            query = make_queries([inst], self.dim, self.spec)[0]
+        X = self._X[t][:n] if query.idx is None else self._X[t][:n, query.idx]
+        base = dense_kernel_vector(X, self._self_raw[t][:n], self._sq[t][:n],
+                                   query.x, query.self_raw, query.sq, self.spec)
         return float(np.dot(self._w[t][:n], base))
 
-    def step(self, example: MultitaskExample, cache=None) -> StepOutcome:
+    def step(self, example: MultitaskExample, query=None) -> StepOutcome:
         inst, y = example.instance, example.label
-        score = self.predict_score(inst, cache)
+        if query is None:
+            query = make_queries([inst], self.dim, self.spec)[0]
+        score = self.predict_score(inst, query)
         mistake = y * score <= 0
         action = "none"
         if mistake:
             self.mistakes += 1
-            self._append(inst, y, cache)
+            self._append(inst, y, query)
             action = "insert"
         return StepOutcome(prediction=1 if score >= 0 else -1,
                            score=score, mistake=mistake, action=action)
 
-    def _append(self, inst, y, cache=None):
+    def _append(self, inst, y, query):
         t = inst.task - 1
         n = self._count[t]
         if n >= self._X[t].shape[0]:
@@ -248,16 +251,18 @@ class PerceptronBattery:
                                  (self._w, np.zeros(new_cap)),
                                  (self._self_raw, np.zeros(new_cap)),
                                  (self._sq, np.zeros(new_cap))):
-                blank[:n] = store[t][:n] if blank.ndim == 1 else store[t][:n]
+                blank[:n] = store[t][:n]
                 store[t] = blank
-        if cache is None:
-            x = inst.x.to_dense(self.dim)
-            cache = (x, dense_self_raw(x, self.spec), float(np.dot(x, x)))
-        x, q_self, q_sq = cache
-        self._X[t][n] = x
+        # Row-major, unlike ActiveSet's store: the battery grows by doubling,
+        # and copying a feature-major store touches every page of the new
+        # d x 2n array, which cost more than the faster gather saved.
+        if query.idx is None:
+            self._X[t][n] = query.x
+        else:
+            self._X[t][n, query.idx] = query.x
         self._w[t][n] = y
-        self._self_raw[t][n] = q_self
-        self._sq[t][n] = q_sq
+        self._self_raw[t][n] = query.self_raw
+        self._sq[t][n] = query.sq
         self._count[t] = n + 1
 
     @property
@@ -301,12 +306,9 @@ def compute_phi(beta_r, y_r, f_r, deficit, mistakes, cG):
         disc = b * b + 4.0 * a * C
         if disc < 0.0:
             raise NoFeasibleShrink("no chi in (0,1] satisfies the deficit cap")
-        root = math.sqrt(disc)
-        if a > 0:
-            phi = (-b + root) / (2.0 * a)  # upper end of the feasible interval
-        else:
-            phi = (-b + root) / (2.0 * a)  # smaller root: feasible below it
-        phi = min(phi, 1.0)
+        # For a > 0 this root is the upper end of the feasible interval; for
+        # a < 0 it is the smaller root, and the interval lies below it.
+        phi = min((-b + math.sqrt(disc)) / (2.0 * a), 1.0)
     if phi <= 0.0:
         raise NoFeasibleShrink("feasible chi interval does not reach (0,1]")
     # Guard the invariant deficit + penalty <= cap against rounding in the

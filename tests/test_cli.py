@@ -69,6 +69,24 @@ class TestRun:
                      "--kernel", "linear"])
         assert code == 1
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("algo", ["mtbprj", "mtbprj2", "mtrbp", "mtforg"])
+    def test_zero_norm_row_fails_loudly(self, capsys, tmp_path, algo):
+        # A feature-less row has no normalized kernel value; it must stop the
+        # run instead of turning every later score into NaN.
+        p = tmp_path / "zero.mtsvm"
+        p.write_text("1 +1\n"
+                     "2 -1 1:1.0 2:0.5\n"
+                     "1 +1 1:0.3 3:1.0\n"
+                     "2 +1 2:1.0 3:0.2\n"
+                     "1 -1 1:1.0\n"
+                     "2 -1 3:1.0\n"
+                     "1 +1 2:0.7 3:0.4\n")
+        code = main(["run", "--algo", algo, "--graph", "complete",
+                     "--budget", "3", "--data", str(p)])
+        assert code == 1
+        assert "example 1 (task 1)" in capsys.readouterr().err
+
     def test_missing_stream_source_fails(self, capsys):
         code = main(["run", "--algo", "mtrbp", "--graph", "complete",
                      "--budget", "10"])

@@ -56,6 +56,15 @@ class TestParse:
             parse_dataset(p)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("line", ["1 nan 1:1.0", "1 -inf 1:1.0",
+                                      "1 1 1:nan", "1 1 1:1.0 2:inf"])
+    def test_non_finite_values_rejected(self, tmp_path, line):
+        p = tmp_path / "bad.mtsvm"
+        p.write_text("1 1 1:1.0\n" + line + "\n")
+        with pytest.raises(ParseError) as err:
+            parse_dataset(p)
+        assert err.value.line_no == 2
+
     def test_real_labels_allowed_until_binarized(self, tmp_path):
         p = tmp_path / "r.mtsvm"
         p.write_text("1 3.7 1:1.0\n1 -0.5 2:1.0\n")

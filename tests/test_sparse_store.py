@@ -1,0 +1,212 @@
+"""Differential tests of the slot store and the query forms.
+
+Sparse queries and the same queries densified must agree with each other
+and with brute-force `mt_kernel` oracles after random insert / evict /
+projection sequences that reuse freed slots; and the streaming harness must
+make the same mistakes as stepping each learner without prepared queries.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mtbudget import harness
+from mtbudget.active_set import ActiveSet
+from mtbudget.data import DatasetStream
+from mtbudget.errors import ZeroNormInstance
+from mtbudget.graph import TaskGraph, build_interaction_model
+from mtbudget.kernels import (KernelSpec, MultitaskInstance, Query, SparseVector,
+                              base_kernel, dense_self_raw, make_queries,
+                              mt_kernel)
+from mtbudget.learners import ALGORITHMS, LearnerConfig, make_learner
+
+D = 5000
+NNZ = 30
+K = 3
+MODEL = build_interaction_model(TaskGraph.path(K))
+SPECS = {"linear": KernelSpec("linear", normalize=True),
+         "poly": KernelSpec("polynomial", degree=2, offset=1.0, normalize=True),
+         "gauss": KernelSpec("gaussian", gamma=0.5)}
+TOL = 1e-9
+
+
+def sparse_instance(rng, like=None):
+    """About NNZ random features; with `like`, a near-duplicate of it."""
+    if like is not None:
+        vals = like.x.values * (1.0 + 1e-3 * rng.standard_normal(like.x.values.size))
+        return MultitaskInstance(SparseVector(like.x.indices, vals),
+                                 int(rng.integers(1, K + 1)))
+    idx = np.sort(rng.choice(D, NNZ, replace=False)) + 1
+    return MultitaskInstance(SparseVector(idx, rng.standard_normal(NNZ)),
+                             int(rng.integers(1, K + 1)))
+
+
+def dense_query(inst, dim, spec):
+    x = inst.x.to_dense(dim)
+    return Query(None, x, dense_self_raw(x, spec), float(np.dot(x, x)))
+
+
+def oracle_base(s, q):
+    """Configured base-kernel values of q against the entries, by brute force."""
+    if s.kernel_mode == "multitask":
+        return np.array([mt_kernel(s.instance(j), q, s.model, s.spec)
+                         for j in range(len(s))])
+    return np.array([base_kernel(s.instance(j).x, q.x, s.spec)
+                     for j in range(len(s))])
+
+
+def oracle_gram(s):
+    entries = [s.instance(j) for j in range(len(s))]
+    if s.kernel_mode == "multitask":
+        return np.array([[mt_kernel(a, b, s.model, s.spec) for b in entries]
+                         for a in entries])
+    return np.array([[base_kernel(a.x, b.x, s.spec) for b in entries]
+                     for a in entries])
+
+
+def oracle_predict(s, q):
+    base = oracle_base(s, q)
+    if s.kernel_mode == "multitask":
+        return float(np.dot(s.weights, base))
+    # single mode: K' against the entries, weighted by q's task row
+    return float(np.dot(s.weights[q.task - 1], base))
+
+
+def check_against_oracle(s, q):
+    sq = make_queries([q], D, s.spec)[0]
+    dq = dense_query(q, D, s.spec)
+    want = oracle_base(s, q)
+    for query in (sq, dq):
+        assert np.allclose(s.kernel_column(q, query), want, rtol=0, atol=TOL)
+        assert abs(s.predict(q, query) - oracle_predict(s, q)) <= TOL
+    assert np.allclose(s.gram, oracle_gram(s), rtol=0, atol=TOL)
+
+
+OPS = st.lists(st.tuples(st.sampled_from(["insert", "insert_dense", "near_dup",
+                                          "evict", "project"]),
+                         st.integers(0, 2 ** 32 - 1)),
+               min_size=5, max_size=40)
+
+
+class TestSlotStore:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(ops=OPS, budget=st.integers(2, 8),
+           mode=st.sampled_from(["multitask", "single"]),
+           kernel=st.sampled_from(sorted(SPECS)))
+    def test_sparse_and_dense_queries_match_oracle(self, ops, budget, mode, kernel):
+        spec = SPECS[kernel]
+        s = ActiveSet(budget, D, spec, MODEL, kernel_mode=mode)
+        stored = []
+        for op, seed in ops:
+            rng = np.random.default_rng(seed)
+            if op == "evict":
+                if len(s):
+                    s.evict(int(rng.integers(len(s))))
+            elif op == "project":
+                q = sparse_instance(rng)
+                a1, r1 = s.projection(q, make_queries([q], D, spec)[0])
+                a2, r2 = s.projection(q, dense_query(q, D, spec))
+                assert np.allclose(a1, a2, rtol=1e-9, atol=TOL)
+                assert abs(r1 - r2) <= 1e-6
+            else:
+                like = stored[int(rng.integers(len(stored)))] \
+                    if op == "near_dup" and stored else None
+                q = sparse_instance(rng, like)
+                stored.append(q)
+                query = (dense_query(q, D, spec) if op == "insert_dense"
+                         else make_queries([q], D, spec)[0])
+                w = rng.standard_normal(K) if mode == "single" else rng.standard_normal()
+                full = len(s) >= budget
+                s.insert(q, w, force=full, query=query)
+                if full:    # reuse: free a slot the next insert takes
+                    s.evict(int(rng.integers(len(s))))
+            assert len(s) <= budget
+            probe = sparse_instance(rng, stored[-1] if stored and seed % 2 else None)
+            check_against_oracle(s, probe)
+
+    def test_evicted_slot_is_reused_without_moving_the_others(self):
+        rng = np.random.default_rng(0)
+        s = ActiveSet(3, D, SPECS["linear"], MODEL, maintain_inverse=False)
+        for _ in range(3):
+            s.insert(sparse_instance(rng), 1.0)
+        stored = s._X[:, :3].copy()     # feature-major: one column per slot
+        s.evict(0)
+        q = sparse_instance(rng)
+        s.insert(q, 1.0)
+        assert s._hi == 3
+        assert np.array_equal(s._X[:, 1:3], stored[:, 1:3])
+        assert np.array_equal(s._X[:, 0], q.x.to_dense(D))
+        assert [s.instance(j).x for j in range(3)][-1] is q.x
+
+
+class TestQueryForm:
+    def test_form_follows_stream_density(self):
+        rng = np.random.default_rng(1)
+        sparse = [sparse_instance(rng) for _ in range(5)]
+        assert all(q.idx is not None for q in make_queries(sparse, D, SPECS["linear"]))
+        dense = [MultitaskInstance(SparseVector.from_dense(rng.standard_normal(8)), 1)
+                 for _ in range(5)]
+        assert all(q.idx is None for q in make_queries(dense, 8, SPECS["linear"]))
+
+    def test_zero_norm_names_position_and_task(self):
+        rng = np.random.default_rng(2)
+        insts = [sparse_instance(rng), MultitaskInstance(SparseVector.from_pairs([]), 3)]
+        with pytest.raises(ZeroNormInstance, match=r"example 2 \(task 3\)"):
+            make_queries(insts, D, SPECS["linear"])
+        # unnormalized kernels have no scale to divide by
+        assert make_queries(insts, D, KernelSpec("linear"))[1].self_raw == 0.0
+
+
+def sparse_stream(n=300, d=400, nnz=8, k=K, seed=0):
+    """Round-robin tasks, nnz random features per row, noisy linear labels."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(d)
+    insts, labels = [], []
+    for t in range(n):
+        idx = np.sort(rng.choice(d, nnz, replace=False))
+        vals = rng.random(nnz)
+        y = 1.0 if np.dot(w[idx], vals) + 0.3 * rng.standard_normal() > 0 else -1.0
+        insts.append(MultitaskInstance(SparseVector(idx + 1, vals), t % k + 1))
+        labels.append(y)
+    return DatasetStream(insts, np.array(labels), k, d)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_harness_matches_stepping_without_queries(algo, monkeypatch):
+    stream = sparse_stream()
+    config = LearnerConfig(algo, TaskGraph.complete(K), budget=12, eta=0.05,
+                           kernel=SPECS["linear"], seed=3)
+    assert make_queries(stream.instances, stream.d, config.kernel)[0].idx is not None
+
+    seen = []
+    real_make_learner = harness.make_learner
+
+    def recording(cfg, dim):
+        learner = real_make_learner(cfg, dim)
+        step = learner.step
+
+        def traced(example, query=None):
+            out = step(example, query)
+            seen.append((out.mistake, out.action))
+            return out
+        learner.step = traced
+        return learner
+
+    monkeypatch.setattr(harness, "make_learner", recording)
+    metrics = harness.run_stream(stream, config)
+
+    plain = make_learner(config, stream.d)
+    dense = make_learner(config, stream.d)
+    want, dense_seen = [], []
+    for ex in stream.iter_examples():
+        out = plain.step(ex)
+        want.append((out.mistake, out.action))
+        out = dense.step(ex, dense_query(ex.instance, stream.d, config.kernel))
+        dense_seen.append((out.mistake, out.action))
+    assert seen == want == dense_seen
+    assert metrics.mistakes == plain.mistakes > 0
+    if algo != "perceptron_battery":
+        assert any(action.startswith("insert_evict") for _, action in want)
