@@ -5,11 +5,20 @@ better once the inverse is current: insertion borders H^-1 with the
 Schur complement of the new column, eviction applies the rank-1
 downdate of the deleted row/column.
 
-Stored feature vectors sit in physical slots that never move; a
-logical-order slot map gives each entry's slot. Eviction frees a slot and
-shifts only the O(B) per-entry arrays and H, H^-1; the next insert reuses
-the slot. The store is feature-major (d x capacity), so a sparse query's
+Stored feature vectors, and the rows and columns of H and H^-1, sit in
+physical slots that never move; a logical-order slot map gives each
+entry's slot. Eviction frees a slot and zeroes its row and column of
+H^-1, shifting only the O(B) per-entry arrays; the next insert reuses the
+slot. The store is feature-major (d x capacity), so a sparse query's
 kernel column reads one short contiguous run per nonzero feature.
+
+An insert leaves its border of H^-1 pending, as the bordering vector a
+(H^-1 times the new column, with -1 at the new slot) and the Schur
+complement delta, so H^-1 is the stored block plus a a^T / delta. The
+leave-one-out residuals read that sum's diagonal, and an eviction folds
+the border and its own downdate into H^-1 as one rank-2 product; any
+other reader folds the border in first. A full-budget insert plus evict
+thus costs one rank-2 update of H^-1.
 """
 
 from __future__ import annotations
@@ -52,12 +61,14 @@ class ActiveSet:
         self.maintain_inverse = maintain_inverse
         self.regularized = False
         self.n = 0
-        self._cap = 16
+        self._cap = min(16, self.budget + 1)
         # Per slot, never moved: feature column, raw self kernel, squared
-        # norm, the entry's SparseVector and the Query it was inserted with.
+        # norm, task, the entry's SparseVector and the Query it was inserted
+        # with; and the slot's row and column of H and H^-1.
         self._X = np.zeros((dim, self._cap))
         self._self_raw = np.zeros(self._cap)
         self._sq = np.zeros(self._cap)
+        self._tasks = np.zeros(self._cap, dtype=np.int64)
         self._points = [None] * self._cap
         self._queries = [None] * self._cap
         self._hi = 0        # slots ever used
@@ -65,7 +76,6 @@ class ActiveSet:
         self._in_order = True   # until the first eviction, slot j holds entry j
         # Per entry, in logical order.
         self._slot = np.zeros(self._cap, dtype=np.int64)
-        self._tasks = np.zeros(self._cap, dtype=np.int64)
         self._times = np.zeros(self._cap, dtype=np.int64)
         self._clock = 0
         if kernel_mode == "single":
@@ -78,12 +88,14 @@ class ActiveSet:
         else:
             self._H = None
             self._Hinv = None
+        self._border = None     # (a, delta) of an insert not yet in _Hinv
+        self._last = None       # the last projection's query, task and terms
 
     # -- views ---------------------------------------------------------
 
     @property
     def tasks(self):
-        return self._tasks[:self.n]
+        return self._logical(self._tasks)
 
     @property
     def times(self):
@@ -98,14 +110,20 @@ class ActiveSet:
 
     @property
     def gram(self):
-        return self._H[:self.n, :self.n]
+        """Copy of H in entry order."""
+        slots = self._slot[:self.n]
+        return self._H[np.ix_(slots, slots)]
 
     @property
     def gram_inv(self):
-        return self._Hinv[:self.n, :self.n]
+        """Copy of H^-1 in entry order."""
+        self._settle()
+        slots = self._slot[:self.n]
+        return self._Hinv[np.ix_(slots, slots)]
 
     def instance(self, j) -> MultitaskInstance:
-        return MultitaskInstance(self._points[self._slot[j]], int(self._tasks[j]))
+        slot = self._slot[j]
+        return MultitaskInstance(self._points[slot], int(self._tasks[slot]))
 
     def query(self, j):
         """The Query entry j was inserted with."""
@@ -114,6 +132,12 @@ class ActiveSet:
     def __len__(self):
         return self.n
 
+    def _logical(self, per_slot):
+        """Entry-order values of a per-slot array."""
+        if self._in_order:
+            return per_slot[:self.n]
+        return per_slot[self._slot[:self.n]]
+
     # -- kernel plumbing ----------------------------------------------
 
     def _prepare(self, q: MultitaskInstance, query=None):
@@ -121,29 +145,45 @@ class ActiveSet:
             return query
         return make_queries([q], self.dim, self.spec)[0]
 
-    def _base_column(self, query):
-        """Base-kernel values of a query against the entries, in order.
+    def _slot_column(self, q: MultitaskInstance, query):
+        """Configured-kernel values of a query against every used slot.
 
-        The kernel runs over every used slot, on the store's rows at the
-        query's nonzeros (sparse) or on all of them (dense), and is then put
-        in entry order by the slot map once an eviction has permuted the
-        slots.
+        The kernel runs on the store's rows at the query's nonzeros (sparse)
+        or on all of them (dense). Free slots get values too; their rows and
+        columns of H^-1 are zero, so they drop out of every product.
         """
         hi = self._hi
         X = self._X[:, :hi] if query.idx is None else self._X[query.idx, :hi]
         col = dense_kernel_vector(X.T, self._self_raw[:hi], self._sq[:hi],
                                   query.x, query.self_raw, query.sq, self.spec)
-        return col if self._in_order else col[self._slot[:self.n]]
+        if self.kernel_mode == "multitask":
+            col = col * self.model.inverse[self._tasks[:hi] - 1, q.task - 1]
+        return col
+
+    def _column_terms(self, q: MultitaskInstance, query):
+        """q's slot-order kernel column, H^-1 times it, and k_qq.
+
+        An insert right after the projection of the same query reuses the
+        projection's terms: every mutation clears them.
+        """
+        last = self._last
+        if last is not None and last[0] is query and last[1] == q.task:
+            return last[2:]
+        self._settle()
+        kqq = self.self_kernel(q, query)
+        hi = self._hi
+        if self.n == 0:
+            col = np.zeros(hi)
+            return col, col, kqq
+        col = self._slot_column(q, query)
+        return col, self._Hinv[:hi, :hi] @ col, kqq
 
     def kernel_column(self, q: MultitaskInstance, query=None):
         """Configured-kernel values of q against all stored entries."""
         query = self._prepare(q, query)
         if self.n == 0:
             return np.zeros(0)
-        col = self._base_column(query)
-        if self.kernel_mode == "multitask":
-            col = col * self.model.inverse[self._tasks[:self.n] - 1, q.task - 1]
-        return col
+        return self._logical(self._slot_column(q, query))
 
     def self_kernel(self, q: MultitaskInstance, query=None):
         """Configured kernel of q with itself (M_qq after normalization)."""
@@ -158,24 +198,21 @@ class ActiveSet:
     # -- public operations --------------------------------------------
 
     def predict(self, q: MultitaskInstance, query=None) -> float:
-        if self.n == 0:
+        n = self.n
+        if n == 0:
             return 0.0
-        base = self._base_column(self._prepare(q, query))
+        col = self._logical(self._slot_column(q, self._prepare(q, query)))
         if self.kernel_mode == "multitask":
-            m = self.model.inverse[self._tasks[:self.n] - 1, q.task - 1]
-            return float(np.dot(self._W[:self.n], m * base))
-        return float(np.dot(self._W[q.task - 1, :self.n], base))
+            return float(np.dot(self._W[:n], col))
+        return float(np.dot(self._W[q.task - 1, :n], col))
 
     def projection(self, q: MultitaskInstance, query=None):
         """(alphas, residual norm) of q's kernel function onto the span."""
         query = self._prepare(q, query)
-        kqq = self.self_kernel(q, query)
-        if self.n == 0:
-            return np.zeros(0), float(np.sqrt(kqq))
-        col = self.kernel_column(q, query)
-        alphas = self._Hinv[:self.n, :self.n] @ col
-        resid_sq = kqq - float(np.dot(col, alphas))
-        return alphas, float(np.sqrt(max(resid_sq, 0.0)))
+        col, alpha, kqq = self._column_terms(q, query)
+        self._last = (query, q.task, col, alpha, kqq)
+        resid_sq = kqq - float(np.dot(col, alpha))
+        return self._logical(alpha), float(np.sqrt(max(resid_sq, 0.0)))
 
     def insert(self, q: MultitaskInstance, weight, force=False, query=None):
         """Append q; `weight` is a scalar or, in single mode, a k-column."""
@@ -183,8 +220,7 @@ class ActiveSet:
             raise BudgetFull("active set already holds %d entries" % self.n)
         query = self._prepare(q, query)
         if self.maintain_inverse:
-            col = self.kernel_column(q, query)
-            kqq = self.self_kernel(q, query)
+            col, alpha, kqq = self._column_terms(q, query)
         n = self.n
         if n + 1 > self._cap:
             self._grow()
@@ -193,33 +229,29 @@ class ActiveSet:
         else:
             slot = self._hi
             self._hi += 1
-        self._store(slot, q.x, query)
+        self._store(slot, q, query)
         self._slot[n] = slot
-        self._tasks[n] = q.task
         self._times[n] = self._clock
         self._clock += 1
         if self._W.ndim == 2:
             self._W[:, n] = weight
         else:
             self._W[n] = weight
-        if self.maintain_inverse:
-            self._H[n, :n] = col
-            self._H[:n, n] = col
-            self._H[n, n] = kqq
-            if n == 0:
-                self._Hinv[0, 0] = 1.0 / kqq
-            else:
-                alpha = self._Hinv[:n, :n] @ col
-                delta = kqq - float(np.dot(col, alpha))
-                if delta < _SCHUR_MIN:
-                    self.n = n + 1
-                    self._rebuild_inverse()
-                    return
-                self._Hinv[:n, :n] += np.outer(alpha, alpha) / delta
-                self._Hinv[:n, n] = -alpha / delta
-                self._Hinv[n, :n] = -alpha / delta
-                self._Hinv[n, n] = 1.0 / delta
         self.n = n + 1
+        self._last = None
+        if self.maintain_inverse:
+            m = col.size
+            self._H[slot, :m] = col
+            self._H[:m, slot] = col
+            self._H[slot, slot] = kqq
+            delta = kqq - float(np.dot(col, alpha))
+            if delta < _SCHUR_MIN:
+                self._rebuild_inverse()
+                return
+            a = np.zeros(self._hi)
+            a[:m] = alpha
+            a[slot] = -1.0
+            self._border = (a, delta)
 
     def evict(self, r):
         """Remove entry r; return its back-projection coefficients gamma.
@@ -231,39 +263,51 @@ class ActiveSet:
         n = self.n
         if not (0 <= r < n):
             raise IndexError("evict index %d out of range" % r)
-        gammas = None
-        if self.maintain_inverse:
-            d = self._Hinv[:n, r].copy()
-            pivot = d[r]
-            gammas = np.delete(-d / pivot, r)
-            self._Hinv[:n, :n] -= np.outer(d, d) / pivot
-            self._shift_out(self._Hinv, r, n)
-            self._shift_out(self._H, r, n)
-        self._free.append(int(self._slot[r]))
+        slot = int(self._slot[r])
+        self._free.append(slot)
         self._in_order = False
-        for arr in (self._slot, self._tasks, self._times):
+        for arr in (self._slot, self._times):
             arr[r:n - 1] = arr[r + 1:n]
         if self._W.ndim == 2:
             self._W[:, r:n - 1] = self._W[:, r + 1:n]
         else:
             self._W[r:n - 1] = self._W[r + 1:n]
         self.n = n - 1
-        return gammas
+        self._last = None
+        if not self.maintain_inverse:
+            return None
+        # With the pending border, H^-1 is Hinv + a a^T / delta; its column
+        # d at the evictee gives the downdate -d d^T / d[slot]. Both go in
+        # as one rank-2 product.
+        hi = self._hi
+        Hinv = self._Hinv[:hi, :hi]
+        a, delta = self._border if self._border is not None else (np.zeros(hi), 1.0)
+        self._border = None
+        d = Hinv[:, slot] + a * a[slot] / delta
+        gammas = -d / d[slot]
+        Hinv += np.array((a / delta, gammas)).T @ np.array((a, d))
+        Hinv[slot, :] = 0.0
+        Hinv[:, slot] = 0.0
+        return gammas[self._slot[:n - 1]]
 
     def leave_one_out_residuals(self):
         """For each j: distance of entry j's kernel function to the span of
         the others, via residual_j^2 = 1 / (H^-1)_jj."""
         if self.n == 0:
             raise ValueError("empty active set")
-        diag = np.diag(self._Hinv[:self.n, :self.n])
-        return np.sqrt(1.0 / np.maximum(diag, 1e-300))
+        hi = self._hi
+        diag = np.diag(self._Hinv[:hi, :hi])
+        if self._border is not None:
+            a, delta = self._border
+            diag = diag + a * a / delta
+        return np.sqrt(1.0 / np.maximum(self._logical(diag), 1e-300))
 
     def oldest(self):
         return int(np.argmin(self._times[:self.n]))
 
     # -- maintenance ---------------------------------------------------
 
-    def _store(self, slot, point, query):
+    def _store(self, slot, q: MultitaskInstance, query):
         """Write an entry's features into `slot`, clearing what it held."""
         vec = self._X[:, slot]
         if query.idx is None:
@@ -278,8 +322,16 @@ class ActiveSet:
             vec[query.idx] = query.x
         self._self_raw[slot] = query.self_raw
         self._sq[slot] = query.sq
-        self._points[slot] = point
+        self._tasks[slot] = q.task
+        self._points[slot] = q.x
         self._queries[slot] = query
+
+    def _settle(self):
+        """Fold a pending insert's border into H^-1."""
+        if self._border is not None:
+            a, delta = self._border
+            self._border = None
+            self._Hinv[:self._hi, :self._hi] += np.outer(a, a) / delta
 
     def _rebuild_inverse(self):
         n = self.n
@@ -288,17 +340,21 @@ class ActiveSet:
                        self.spec)
         if self.kernel_mode == "multitask":
             Mi = self.model.inverse
-            t = self._tasks[:n] - 1
+            t = self._tasks[slots] - 1
             G = G * Mi[np.ix_(t, t)]
         G = G + RIDGE * np.eye(n)
-        self._H[:n, :n] = G
-        self._Hinv[:n, :n] = np.linalg.inv(G)
+        block = np.ix_(slots, slots)
+        self._H[block] = G
+        self._Hinv[:self._hi, :self._hi] = 0.0
+        self._Hinv[block] = np.linalg.inv(G)
         self.regularized = True
 
     def _grow(self):
-        new_cap = self._cap * 2
+        """Double the capacity, but stop at budget + 1 (one forced insert
+        past the budget), so the full-budget H^-1 is one contiguous block."""
+        new_cap = max(self._cap + 1, min(2 * self._cap, self.budget + 1))
         self._X = self._resize2(self._X, (self.dim, new_cap))
-        for name in ("_self_raw", "_sq", "_slot", "_tasks", "_times"):
+        for name in ("_self_raw", "_sq", "_tasks", "_slot", "_times"):
             arr = getattr(self, name)
             setattr(self, name, self._resize1(arr, new_cap))
         self._points.extend([None] * (new_cap - self._cap))
@@ -323,24 +379,3 @@ class ActiveSet:
         out = np.zeros(shape, dtype=arr.dtype)
         out[:arr.shape[0], :arr.shape[1]] = arr
         return out
-
-    @staticmethod
-    def _shift_out(buf, r, n):
-        buf[r:n - 1, :n] = buf[r + 1:n, :n]
-        buf[:n - 1, r:n - 1] = buf[:n - 1, r + 1:n]
-
-    # -- serialization -------------------------------------------------
-
-    def to_snapshot(self) -> str:
-        """Line format: `B <budget>` then `<task> <weight[,weight...]> <i>:<v> ...`."""
-        lines = ["B %d" % self.budget]
-        for j in range(self.n):
-            if self._W.ndim == 2:
-                w = ",".join("%.17g" % v for v in self._W[:, j])
-            else:
-                w = "%.17g" % self._W[j]
-            sv = self.instance(j).x
-            feats = " ".join("%d:%.17g" % (i, v)
-                             for i, v in zip(sv.indices, sv.values))
-            lines.append(("%d %s %s" % (self._tasks[j], w, feats)).rstrip())
-        return "\n".join(lines) + "\n"

@@ -42,9 +42,8 @@ class LearnerConfig:
             raise ValueError("unknown algorithm %r" % self.algorithm)
         if self.budget < 1:
             raise ValueError("budget must be positive")
-        if self.eta <= 0 and self.algorithm in ("mtbprj", "mtbprj2"):
-            if self.eta < 0:
-                raise ValueError("eta must be positive")
+        if self.eta < 0 and self.algorithm in ("mtbprj", "mtbprj2"):
+            raise ValueError("eta must be positive")
         if self.algorithm == "mtforg" and self.budget <= FORGETRON_MIN_BUDGET:
             warnings.warn("mtforg mistake bound needs B > %d (got B=%d)"
                           % (FORGETRON_MIN_BUDGET, self.budget))

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from mtbudget import active_set as active_set_module
+from mtbudget.active_set import ActiveSet
 from mtbudget.data import generate_synthetic
 from mtbudget.errors import DomainError
 from mtbudget.graph import TaskGraph, build_interaction_model
@@ -182,6 +184,36 @@ class TestMtbprj2:
             actions.add(learner.step(e).action)
             assert len(learner.active_set) <= 3
         assert "insert_evict" in actions
+
+
+@pytest.mark.parametrize("algo", ["mtbprj", "mtbprj2"])
+def test_one_kernel_column_per_predict_and_projection(algo, monkeypatch):
+    """At full budget a mistake costs the predict's column and the
+    projection's; the insert reuses the projection's."""
+    calls = [0]
+    real_kernel_vector = active_set_module.dense_kernel_vector
+
+    def counting(*args):
+        calls[0] += 1
+        return real_kernel_vector(*args)
+    monkeypatch.setattr(active_set_module, "dense_kernel_vector", counting)
+    columns = {"predict": [], "projection": [], "insert": []}
+    for op, seen in columns.items():
+        def counted(self, *args, _method=getattr(ActiveSet, op), _seen=seen, **kw):
+            before, empty = calls[0], len(self) == 0
+            out = _method(self, *args, **kw)
+            _seen.append((calls[0] - before, empty))
+            return out
+        monkeypatch.setattr(ActiveSet, op, counted)
+
+    learner = make_learner(cfg(algo, TaskGraph.complete(3), budget=6), 8)
+    actions = [learner.step(e).action
+               for e in rand_examples(np.random.default_rng(0), 300)]
+    assert actions.count("insert_evict") >= 20
+    for op in ("predict", "projection"):
+        assert all(n == (0 if empty else 1) for n, empty in columns[op])
+    assert all(n == 0 for n, _ in columns["insert"])
+    assert calls[0] == sum(n for seen in columns.values() for n, _ in seen)
 
 
 class TestMtrbp:
