@@ -8,8 +8,8 @@ from .graph import (InteractionModel, ResistanceMatrix, TaskGraph,
                     augment_graph, build_interaction_model, build_laplacian,
                     resistance_matrix, verify_proposition_3_1)
 from .harness import StreamMetrics, baseline_active_size, resolve_budget, run_stream
-from .kernels import (KernelSpec, MultitaskExample, MultitaskInstance,
-                      SparseVector, base_kernel, hinge_loss, mt_kernel)
+from .kernels import (KernelSpec, MultitaskInstance, Query, SparseVector,
+                      base_kernel, make_queries, mt_kernel)
 from .learners import (ALGORITHMS, LearnerConfig, StepOutcome, compute_phi,
                        make_learner, mtforg_bound, mtrbp_bound)
 

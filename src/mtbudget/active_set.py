@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import BudgetFull
 from .graph import InteractionModel
-from .kernels import (KernelSpec, MultitaskInstance, dense_gram,
-                      dense_kernel_vector, make_queries)
+from .kernels import KernelSpec, Query, dense_gram, dense_kernel_vector
 
 RIDGE = 1e-10
 _SCHUR_MIN = 1e-10
@@ -42,9 +41,8 @@ class ActiveSet:
     are K'(x_i, x_j), task markers are ignored by projections, and weights
     form a k x |S| matrix (one prediction function per task).
 
-    Every operation takes an optional `query` (kernels.Query) of q, as the
-    streaming harness builds once per example; without one it is built
-    from q.
+    Every operation takes the instance as a kernels.Query (features, self
+    kernel and task), which `make_queries` builds once per example.
     """
 
     def __init__(self, budget, dim, spec: KernelSpec, model: InteractionModel,
@@ -63,13 +61,12 @@ class ActiveSet:
         self.n = 0
         self._cap = min(16, self.budget + 1)
         # Per slot, never moved: feature column, raw self kernel, squared
-        # norm, task, the entry's SparseVector and the Query it was inserted
-        # with; and the slot's row and column of H and H^-1.
+        # norm, task and the Query the entry was inserted with; and the
+        # slot's row and column of H and H^-1.
         self._X = np.zeros((dim, self._cap))
         self._self_raw = np.zeros(self._cap)
         self._sq = np.zeros(self._cap)
         self._tasks = np.zeros(self._cap, dtype=np.int64)
-        self._points = [None] * self._cap
         self._queries = [None] * self._cap
         self._hi = 0        # slots ever used
         self._free = []     # slots below _hi that hold no entry
@@ -89,7 +86,7 @@ class ActiveSet:
             self._H = None
             self._Hinv = None
         self._border = None     # (a, delta) of an insert not yet in _Hinv
-        self._last = None       # the last projection's query, task and terms
+        self._last = None       # the last predict's or projection's terms
 
     # -- views ---------------------------------------------------------
 
@@ -121,10 +118,6 @@ class ActiveSet:
         slots = self._slot[:self.n]
         return self._Hinv[np.ix_(slots, slots)]
 
-    def instance(self, j) -> MultitaskInstance:
-        slot = self._slot[j]
-        return MultitaskInstance(self._points[slot], int(self._tasks[slot]))
-
     def query(self, j):
         """The Query entry j was inserted with."""
         return self._queries[self._slot[j]]
@@ -140,12 +133,7 @@ class ActiveSet:
 
     # -- kernel plumbing ----------------------------------------------
 
-    def _prepare(self, q: MultitaskInstance, query=None):
-        if query is not None:
-            return query
-        return make_queries([q], self.dim, self.spec)[0]
-
-    def _slot_column(self, q: MultitaskInstance, query):
+    def _slot_column(self, query: Query):
         """Configured-kernel values of a query against every used slot.
 
         The kernel runs on the store's rows at the query's nonzeros (sparse)
@@ -157,70 +145,74 @@ class ActiveSet:
         col = dense_kernel_vector(X.T, self._self_raw[:hi], self._sq[:hi],
                                   query.x, query.self_raw, query.sq, self.spec)
         if self.kernel_mode == "multitask":
-            col = col * self.model.inverse[self._tasks[:hi] - 1, q.task - 1]
+            col = col * self.model.inverse[self._tasks[:hi] - 1, query.task - 1]
         return col
 
-    def _column_terms(self, q: MultitaskInstance, query):
-        """q's slot-order kernel column, H^-1 times it, and k_qq.
+    def _column_terms(self, query: Query):
+        """The query's slot-order kernel column, H^-1 times it, and k_qq.
 
-        An insert right after the projection of the same query reuses the
-        projection's terms: every mutation clears them.
+        A projection right after the predict of the same query reuses its
+        column, and an insert right after the projection reuses all three:
+        every insert and evict clears them.
         """
-        last = self._last
-        if last is not None and last[0] is query and last[1] == q.task:
-            return last[2:]
+        last = self._last if self._last and self._last[0] is query else None
+        if last and last[2] is not None:
+            return last[1:]
         self._settle()
-        kqq = self.self_kernel(q, query)
+        kqq = self.self_kernel(query)
         hi = self._hi
         if self.n == 0:
-            col = np.zeros(hi)
-            return col, col, kqq
-        col = self._slot_column(q, query)
-        return col, self._Hinv[:hi, :hi] @ col, kqq
+            col = alpha = np.zeros(hi)
+        else:
+            col = last[1] if last else self._slot_column(query)
+            alpha = self._Hinv[:hi, :hi] @ col
+        self._last = (query, col, alpha, kqq)
+        return col, alpha, kqq
 
-    def kernel_column(self, q: MultitaskInstance, query=None):
-        """Configured-kernel values of q against all stored entries."""
-        query = self._prepare(q, query)
+    def kernel_column(self, query: Query):
+        """Configured-kernel values of the query against all stored entries."""
         if self.n == 0:
             return np.zeros(0)
-        return self._logical(self._slot_column(q, query))
+        return self._logical(self._slot_column(query))
 
-    def self_kernel(self, q: MultitaskInstance, query=None):
-        """Configured kernel of q with itself (M_qq after normalization)."""
+    def self_kernel(self, query: Query):
+        """Configured kernel of the query with itself (M_qq after
+        normalization)."""
         if self.spec.normalize or self.spec.kind == "gaussian":
             base = 1.0
         else:
-            base = self._prepare(q, query).self_raw
+            base = query.self_raw
         if self.kernel_mode == "multitask":
-            return float(self.model.inverse[q.task - 1, q.task - 1]) * base
+            return float(self.model.inverse[query.task - 1, query.task - 1]) * base
         return float(base)
 
     # -- public operations --------------------------------------------
 
-    def predict(self, q: MultitaskInstance, query=None) -> float:
+    def predict(self, query: Query) -> float:
         n = self.n
         if n == 0:
             return 0.0
-        col = self._logical(self._slot_column(q, self._prepare(q, query)))
+        col = self._slot_column(query)
+        self._last = (query, col, None, None)
+        col = self._logical(col)
         if self.kernel_mode == "multitask":
             return float(np.dot(self._W[:n], col))
-        return float(np.dot(self._W[q.task - 1, :n], col))
+        return float(np.dot(self._W[query.task - 1, :n], col))
 
-    def projection(self, q: MultitaskInstance, query=None):
-        """(alphas, residual norm) of q's kernel function onto the span."""
-        query = self._prepare(q, query)
-        col, alpha, kqq = self._column_terms(q, query)
-        self._last = (query, q.task, col, alpha, kqq)
+    def projection(self, query: Query):
+        """(alphas, residual norm) of the query's kernel function onto the
+        span."""
+        col, alpha, kqq = self._column_terms(query)
         resid_sq = kqq - float(np.dot(col, alpha))
         return self._logical(alpha), float(np.sqrt(max(resid_sq, 0.0)))
 
-    def insert(self, q: MultitaskInstance, weight, force=False, query=None):
-        """Append q; `weight` is a scalar or, in single mode, a k-column."""
+    def insert(self, query: Query, weight, force=False):
+        """Append the query; `weight` is a scalar or, in single mode, a
+        k-column."""
         if self.n >= self.budget and not force:
             raise BudgetFull("active set already holds %d entries" % self.n)
-        query = self._prepare(q, query)
         if self.maintain_inverse:
-            col, alpha, kqq = self._column_terms(q, query)
+            col, alpha, kqq = self._column_terms(query)
         n = self.n
         if n + 1 > self._cap:
             self._grow()
@@ -229,7 +221,7 @@ class ActiveSet:
         else:
             slot = self._hi
             self._hi += 1
-        self._store(slot, q, query)
+        self._store(slot, query)
         self._slot[n] = slot
         self._times[n] = self._clock
         self._clock += 1
@@ -307,7 +299,7 @@ class ActiveSet:
 
     # -- maintenance ---------------------------------------------------
 
-    def _store(self, slot, q: MultitaskInstance, query):
+    def _store(self, slot, query: Query):
         """Write an entry's features into `slot`, clearing what it held."""
         vec = self._X[:, slot]
         if query.idx is None:
@@ -322,8 +314,7 @@ class ActiveSet:
             vec[query.idx] = query.x
         self._self_raw[slot] = query.self_raw
         self._sq[slot] = query.sq
-        self._tasks[slot] = q.task
-        self._points[slot] = q.x
+        self._tasks[slot] = query.task
         self._queries[slot] = query
 
     def _settle(self):
@@ -357,7 +348,6 @@ class ActiveSet:
         for name in ("_self_raw", "_sq", "_tasks", "_slot", "_times"):
             arr = getattr(self, name)
             setattr(self, name, self._resize1(arr, new_cap))
-        self._points.extend([None] * (new_cap - self._cap))
         self._queries.extend([None] * (new_cap - self._cap))
         if self._W.ndim == 2:
             self._W = self._resize2(self._W, (self._W.shape[0], new_cap))

@@ -68,8 +68,6 @@ def cmd_run(args):
     k = args.k or stream.k
     graph = resolve_graph(args.graph, k)
     kernel = KernelSpec.parse(args.kernel)
-    if not kernel.normalize and kernel.kind != "gaussian":
-        raise ValueError("learners require a normalized kernel (`:norm`)")
     budget = resolve_budget(args.budget, stream, kernel)
     config = LearnerConfig(algorithm=args.algo, graph=graph, budget=budget,
                            eta=args.eta, kernel=kernel, seed=args.seed)

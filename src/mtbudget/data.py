@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EmptyStream, ParseError, TaskOutOfRange
 from .graph import TaskGraph
-from .kernels import MultitaskExample, MultitaskInstance, SparseVector
+from .kernels import MultitaskInstance, SparseVector
 
 
 @dataclass
@@ -32,12 +32,6 @@ class DatasetStream:
     @property
     def binary(self) -> bool:
         return bool(np.all(np.isin(self.labels, (-1.0, 1.0))))
-
-    def iter_examples(self):
-        if not self.binary:
-            raise ValueError("stream still has real labels; binarize first")
-        for inst, y in zip(self.instances, self.labels):
-            yield MultitaskExample(inst, int(y))
 
 
 @dataclass
@@ -130,33 +124,33 @@ def binarize_by_percentile(stream: DatasetStream, pct=75.0) -> DatasetStream:
 
 
 def rescale_features(stream: DatasetStream) -> DatasetStream:
-    """Affinely map each non-binary feature's observed values onto [0, 1]."""
-    lo, hi, binary_only = {}, {}, {}
-    for inst in stream.instances:
-        for idx, val in zip(inst.x.indices, inst.x.values):
-            i = int(idx)
-            if i not in lo:
-                lo[i], hi[i], binary_only[i] = val, val, True
-            else:
-                lo[i] = min(lo[i], val)
-                hi[i] = max(hi[i], val)
-            if val not in (0.0, 1.0):
-                binary_only[i] = False
-    instances = []
-    for inst in stream.instances:
-        pairs = []
-        for idx, val in zip(inst.x.indices, inst.x.values):
-            i = int(idx)
-            if binary_only[i]:
-                new = val
-            elif hi[i] == lo[i]:
-                new = 0.0
-            else:
-                new = (val - lo[i]) / (hi[i] - lo[i])
-            if new != 0.0:
-                pairs.append((i, new))
-        instances.append(MultitaskInstance(SparseVector.from_pairs(pairs),
-                                           inst.task))
+    """Affinely map each non-binary feature's observed values onto [0, 1].
+
+    Only stored values are observed: a feature's implicit zeros do not
+    move its range. A feature seen with one value only maps it to 0, and
+    values that map to 0 are dropped.
+    """
+    rows = [inst.x for inst in stream.instances]
+    sizes = np.array([x.indices.size for x in rows], dtype=np.int64)
+    ids = np.concatenate([x.indices for x in rows] + [np.zeros(0, np.int64)])
+    vals = np.concatenate([x.values for x in rows] + [np.zeros(0)])
+    size = int(ids.max()) + 1 if ids.size else 0
+    lo = np.full(size, np.inf)
+    hi = np.full(size, -np.inf)
+    scaled = np.zeros(size, dtype=bool)     # observed a value other than 0, 1
+    np.minimum.at(lo, ids, vals)
+    np.maximum.at(hi, ids, vals)
+    np.logical_or.at(scaled, ids, (vals != 0.0) & (vals != 1.0))
+    lo, span, scaled = lo[ids], hi[ids] - lo[ids], scaled[ids]
+    new = np.where(scaled, 0.0, vals)
+    moved = scaled & (span != 0.0)
+    new[moved] = (vals[moved] - lo[moved]) / span[moved]
+    keep = new != 0.0
+    # sorted ids stay sorted when zeros drop out, so rows are cut, not rebuilt
+    cuts = np.concatenate(([0], np.cumsum(keep)))[np.cumsum(sizes)][:-1]
+    instances = [MultitaskInstance(SparseVector(i, v), inst.task)
+                 for inst, i, v in zip(stream.instances, np.split(ids[keep], cuts),
+                                       np.split(new[keep], cuts))]
     return DatasetStream(instances, stream.labels.copy(), stream.k, stream.d)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from .data import DatasetStream
 from .graph import TaskGraph
 from .kernels import KernelSpec, make_queries
-from .learners import LearnerConfig, PerceptronBattery, make_learner
+from .learners import LearnerConfig, make_learner
 
 
 @dataclass
@@ -35,34 +35,30 @@ class StreamMetrics:
         return 2.0 * self.tp / denom if denom else 0.0
 
 
-def _active_size(learner):
-    if isinstance(learner, PerceptronBattery):
-        return learner.active_size
-    return len(learner.active_set)
-
-
 def run_stream(stream: DatasetStream, config: LearnerConfig,
                epochs=1) -> StreamMetrics:
-    """Drive one learner over the stream; predictions are scored with the
-    pre-update state of each step. Each example's query is built once, in
-    the form (sparse or dense) the stream's density favours, so a sparse
-    stream is never densified."""
+    """Drive one learner over a binarized stream; predictions are scored
+    with the pre-update state of each step. Each example's query is built
+    once, in the form (sparse or dense) the stream's density favours, so a
+    sparse stream is never densified."""
+    if not stream.binary:
+        raise ValueError("stream still has real labels; binarize first")
     learner = make_learner(config, dim=stream.d)
     metrics = StreamMetrics(per_task=np.zeros((config.graph.k, 4), dtype=np.int64))
-    examples = list(stream.iter_examples())
     queries = make_queries(stream.instances, stream.d, config.kernel)
-    total = len(examples) * epochs
+    labels = [int(y) for y in stream.labels]
+    total = len(queries) * epochs
     every = max(1, total // 100)
     step = 0
     for _ in range(epochs):
-        for ex, query in zip(examples, queries):
-            outcome = learner.step(ex, query)
+        for query, y in zip(queries, labels):
+            outcome = learner.step(query, y)
             step += 1
-            t = ex.instance.task - 1
+            t = query.task - 1
             if outcome.prediction == 1:
-                slot = 0 if ex.label == 1 else 1   # tp / fp
+                slot = 0 if y == 1 else 1   # tp / fp
             else:
-                slot = 2 if ex.label == 1 else 3   # fn / tn
+                slot = 2 if y == 1 else 3   # fn / tn
             metrics.per_task[t, slot] += 1
             if slot == 0:
                 metrics.tp += 1
@@ -74,9 +70,9 @@ def run_stream(stream: DatasetStream, config: LearnerConfig,
                 metrics.tn += 1
             if step % every == 0 or step == total:
                 metrics.trajectory.append((step, metrics.f_measure,
-                                           _active_size(learner)))
+                                           learner.active_size))
     metrics.mistakes = learner.mistakes
-    metrics.final_active = _active_size(learner)
+    metrics.final_active = learner.active_size
     return metrics
 
 

@@ -1,4 +1,5 @@
-"""Base kernels, the graph-induced multitask kernel and the hinge loss.
+"""Base kernels, the graph-induced multitask kernel and the queries the
+learners step on.
 
 All learners require the normalized form of the base kernel, so that
 every single-task instance has unit self-similarity.
@@ -76,16 +77,6 @@ class MultitaskInstance:
 
 
 @dataclass(frozen=True)
-class MultitaskExample:
-    instance: MultitaskInstance
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (-1, 1):
-            raise ValueError("label must be -1 or +1, got %r" % (self.label,))
-
-
-@dataclass(frozen=True)
 class KernelSpec:
     """Base kernel choice: linear, poly:<degree>:<offset>, gauss:<gamma>."""
 
@@ -159,10 +150,6 @@ def mt_kernel(a: MultitaskInstance, b: MultitaskInstance,
     return float(m.inverse[a.task - 1, b.task - 1]) * base_kernel(a.x, b.x, spec)
 
 
-def hinge_loss(score: float, label: int) -> float:
-    return max(0.0, 1.0 - label * score)
-
-
 # -- fast paths: stored vectors are dense, queries dense or sparse --
 
 # A stream whose rows fill less than this fraction of the d features on
@@ -174,16 +161,19 @@ SPARSE_DENSITY = 0.1
 
 
 class Query(NamedTuple):
-    """One instance prepared for kernel columns, built once per example.
+    """One instance prepared for kernel columns, built once per example;
+    the only per-example input of the active set and the learners.
 
     Sparse form: `idx` holds the zero-based ids of the nonzero features and
     `x` their values. Dense form: `idx` is None and `x` is the whole row.
+    `task` is the instance's 1-based task.
     """
 
     idx: Optional[np.ndarray]
     x: np.ndarray
     self_raw: float
     sq: float
+    task: int
 
 
 def make_queries(instances, dim, spec: KernelSpec):
@@ -210,7 +200,7 @@ def make_queries(instances, dim, spec: KernelSpec):
                 "kernel cannot scale" % (pos, inst.task))
         # the linear raw self kernel is the squared norm
         sq = q_self if spec.kind == "linear" else float(np.dot(x, x))
-        out.append(Query(idx, x, q_self, sq))
+        out.append(Query(idx, x, q_self, sq, inst.task))
     return out
 
 

@@ -1,10 +1,13 @@
 """The four budget multitask learners, the Perceptron battery baseline
 and the mistake-bound calculators.
 
-Every learner exposes `step(example) -> StepOutcome`: predict with the
-current expansion, then update only when the signed score is a mistake
+Every learner exposes `step(query, label) -> StepOutcome`, where the
+query is the example's kernels.Query (built once per example by
+`make_queries`) and the label is -1 or +1: predict with the current
+expansion, then update only when the signed score is a mistake
 (y * score <= 0). The emitted prediction at score exactly 0 is +1 but
-the update still fires.
+the update still fires. Every learner also exposes `mistakes` and
+`active_size`.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ import numpy as np
 from .active_set import ActiveSet
 from .errors import DomainError, NoFeasibleShrink
 from .graph import TaskGraph, build_interaction_model
-from .kernels import (KernelSpec, MultitaskExample, MultitaskInstance,
-                      dense_kernel_vector, make_queries)
+from .kernels import KernelSpec, Query, dense_kernel_vector
 
 ALGORITHMS = ("mtbprj", "mtbprj2", "mtrbp", "mtforg", "perceptron_battery")
 
@@ -44,6 +46,8 @@ class LearnerConfig:
             raise ValueError("budget must be positive")
         if self.eta < 0 and self.algorithm in ("mtbprj", "mtbprj2"):
             raise ValueError("eta must be positive")
+        if not self.kernel.normalize and self.kernel.kind != "gaussian":
+            raise ValueError("learners require a normalized kernel (`:norm`)")
         if self.algorithm == "mtforg" and self.budget <= FORGETRON_MIN_BUDGET:
             warnings.warn("mtforg mistake bound needs B > %d (got B=%d)"
                           % (FORGETRON_MIN_BUDGET, self.budget))
@@ -64,8 +68,6 @@ class _KernelLearner:
     maintain_inverse = True
 
     def __init__(self, config: LearnerConfig, dim: int):
-        if not config.kernel.normalize and config.kernel.kind != "gaussian":
-            raise ValueError("learners require a normalized kernel spec")
         self.config = config
         self.model = build_interaction_model(config.graph)
         self.active_set = ActiveSet(config.budget, dim, config.kernel,
@@ -73,41 +75,37 @@ class _KernelLearner:
                                     maintain_inverse=self.maintain_inverse)
         self.mistakes = 0
 
-    def predict_score(self, inst: MultitaskInstance, query=None) -> float:
-        return self.active_set.predict(inst, query)
+    @property
+    def active_size(self):
+        return len(self.active_set)
 
-    def step(self, example: MultitaskExample, query=None) -> StepOutcome:
-        """One trial; `query` optionally carries the example's kernels.Query,
-        which the streaming harness builds once per example."""
-        inst, y = example.instance, example.label
-        if query is None:
-            query = make_queries([inst], self.active_set.dim, self.config.kernel)[0]
-        score = self.predict_score(inst, query)
+    def step(self, query: Query, y: int) -> StepOutcome:
+        score = self.active_set.predict(query)
         mistake = y * score <= 0
         action = "none"
         if mistake:
             self.mistakes += 1
-            action = self._update(inst, y, score, query)
+            action = self._update(query, y)
         return StepOutcome(prediction=1 if score >= 0 else -1,
                            score=score, mistake=mistake, action=action)
 
-    def _update(self, inst, y, score, query):
+    def _update(self, query, y):
         raise NotImplementedError
 
 
 class MTBudgetProjectron(_KernelLearner):
     """Projection-based budget learner under the multitask kernel."""
 
-    def _update(self, inst, y, score, query):
+    def _update(self, query, y):
         s = self.active_set
-        alphas, resid = s.projection(inst, query)
+        alphas, resid = s.projection(query)
         if resid <= self.config.eta:
             s.weights[:] += y * alphas
             return "weight_update_projection"
         if len(s) < s.budget:
-            s.insert(inst, y, query=query)
+            s.insert(query, y)
             return "insert"
-        s.insert(inst, y, force=True, query=query)
+        s.insert(query, y, force=True)
         beta = s.weights
         loo = s.leave_one_out_residuals()
         damage = np.abs(beta[:-1]) * loo[:-1]  # pre-existing entries only
@@ -123,18 +121,18 @@ class MTBudgetProjectron2(_KernelLearner):
 
     kernel_mode = "single"
 
-    def _update(self, inst, y, score, query):
+    def _update(self, query, y):
         s = self.active_set
         Mi = self.model.inverse
-        col = y * Mi[:, inst.task - 1]  # weight column of a fresh insert
-        alphas, resid = s.projection(inst, query)
+        col = y * Mi[:, query.task - 1]  # weight column of a fresh insert
+        alphas, resid = s.projection(query)
         if resid <= self.config.eta:
             s.weights[:] += np.outer(col, alphas)
             return "weight_update_projection"
         if len(s) < s.budget:
-            s.insert(inst, col, query=query)
+            s.insert(query, col)
             return "insert"
-        s.insert(inst, col, force=True, query=query)
+        s.insert(query, col, force=True)
         W = s.weights
         loo = s.leave_one_out_residuals()
         damage = loo[:-1] * np.linalg.norm(W[:, :-1], axis=0)
@@ -155,14 +153,14 @@ class MTRandomizedBudgetPerceptron(_KernelLearner):
         super().__init__(config, dim)
         self.rng = np.random.default_rng(config.seed)
 
-    def _update(self, inst, y, score, query):
+    def _update(self, query, y):
         s = self.active_set
         if len(s) < s.budget:
-            s.insert(inst, y, query=query)
+            s.insert(query, y)
             return "insert"
         r = int(self.rng.integers(len(s)))
         s.evict(r)
-        s.insert(inst, y, query=query)
+        s.insert(query, y)
         return "insert_evict"
 
 
@@ -176,18 +174,18 @@ class MTForgetron(_KernelLearner):
         self.deficit = 0.0
         self._labels = []
 
-    def _update(self, inst, y, score, query):
+    def _update(self, query, y):
         s = self.active_set
         if len(s) < s.budget:
-            s.insert(inst, y, query=query)
+            s.insert(query, y)
             self._labels.append(y)
             return "insert"
         r = s.oldest()
         beta_r = float(s.weights[r])
         y_r = self._labels[r]
         # pre-update prediction on the evictee, from its stored query
-        f_r = s.predict(s.instance(r), s.query(r))
-        s.insert(inst, y, force=True, query=query)
+        f_r = s.predict(s.query(r))
+        s.insert(query, y, force=True)
         self._labels.append(y)
         s.evict(r)
         del self._labels[r]
@@ -202,8 +200,6 @@ class PerceptronBattery:
     """k independent kernel Perceptrons, no budget; the baseline yardstick."""
 
     def __init__(self, config: LearnerConfig, dim: int):
-        if not config.kernel.normalize and config.kernel.kind != "gaussian":
-            raise ValueError("learners require a normalized kernel spec")
         self.config = config
         self.spec = config.kernel
         self.dim = dim
@@ -215,35 +211,25 @@ class PerceptronBattery:
         self._count = [0 for _ in range(self.k)]
         self.mistakes = 0
 
-    def predict_score(self, inst: MultitaskInstance, query=None) -> float:
-        t = inst.task - 1
+    def step(self, query: Query, y: int) -> StepOutcome:
+        t = query.task - 1
         n = self._count[t]
-        if n == 0:
-            return 0.0
-        if query is None:
-            query = make_queries([inst], self.dim, self.spec)[0]
-        X = self._X[t][:n] if query.idx is None else self._X[t][:n, query.idx]
-        base = dense_kernel_vector(X, self._self_raw[t][:n], self._sq[t][:n],
-                                   query.x, query.self_raw, query.sq, self.spec)
-        return float(np.dot(self._w[t][:n], base))
-
-    def step(self, example: MultitaskExample, query=None) -> StepOutcome:
-        inst, y = example.instance, example.label
-        if query is None:
-            query = make_queries([inst], self.dim, self.spec)[0]
-        score = self.predict_score(inst, query)
+        score = 0.0
+        if n:
+            X = self._X[t][:n] if query.idx is None else self._X[t][:n, query.idx]
+            base = dense_kernel_vector(X, self._self_raw[t][:n], self._sq[t][:n],
+                                       query.x, query.self_raw, query.sq, self.spec)
+            score = float(np.dot(self._w[t][:n], base))
         mistake = y * score <= 0
         action = "none"
         if mistake:
             self.mistakes += 1
-            self._append(inst, y, query)
+            self._append(t, n, query, y)
             action = "insert"
         return StepOutcome(prediction=1 if score >= 0 else -1,
                            score=score, mistake=mistake, action=action)
 
-    def _append(self, inst, y, query):
-        t = inst.task - 1
-        n = self._count[t]
+    def _append(self, t, n, query, y):
         if n >= self._X[t].shape[0]:
             new_cap = max(16, 2 * self._X[t].shape[0])
             for store, blank in ((self._X, np.zeros((new_cap, self.dim))),

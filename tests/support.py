@@ -1,0 +1,29 @@
+"""Helpers shared by the test modules.
+
+Learners and the active set take `kernels.Query` objects only. `labelled`
+builds the (query, label) pairs a test steps a learner on, the way
+`run_stream` builds them; `instance_of` turns a stored query back into the
+instance the brute-force `mt_kernel` / `base_kernel` oracles take.
+"""
+
+from mtbudget.kernels import MultitaskInstance, SparseVector, make_queries
+
+
+def labelled(instances, labels, dim, spec):
+    """(query, label) pairs, the queries built by one `make_queries` call
+    as `run_stream` builds a stream's, the labels as ints."""
+    return list(zip(make_queries(instances, dim, spec), [int(y) for y in labels]))
+
+
+def query_of(inst, dim, spec):
+    """The query of one instance."""
+    return make_queries([inst], dim, spec)[0]
+
+
+def instance_of(query):
+    """The instance a query describes (its dense zeros dropped)."""
+    if query.idx is None:
+        x = SparseVector.from_dense(query.x)
+    else:
+        x = SparseVector(query.idx + 1, query.x)
+    return MultitaskInstance(x, query.task)

@@ -1,11 +1,13 @@
 """Top-level acceptance checks, one test class per numbered criterion.
 
 Each criterion is exercised end to end at its stated tolerance; nothing in
-here may depend on the other test modules.
+here may depend on the other test modules (the helpers of `support.py` build
+queries only).
 """
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -14,13 +16,15 @@ import warnings
 import numpy as np
 import pytest
 
+import mtbudget
 from mtbudget.data import generate_synthetic, shift_term
 from mtbudget.graph import (TaskGraph, build_interaction_model,
                             verify_proposition_3_1)
 from mtbudget.harness import baseline_active_size, run_stream
-from mtbudget.kernels import KernelSpec, MultitaskInstance, SparseVector
+from mtbudget.kernels import KernelSpec, MultitaskInstance, SparseVector, mt_kernel
 from mtbudget.learners import (DEFICIT_FRAC, LearnerConfig, compute_phi,
                                make_learner, mtforg_bound, mtrbp_bound)
+from support import instance_of, labelled, query_of
 
 LINEAR = KernelSpec("linear", normalize=True)
 
@@ -79,13 +83,17 @@ class TestCriterion2InteractionNormExtremes:
 
 
 class TestCriterion3ActiveSetOracle:
-    def _random_instance(self, rng, d, k):
-        return MultitaskInstance(SparseVector.from_dense(rng.normal(size=d)),
-                                 int(rng.integers(1, k + 1)))
+    def _random_query(self, rng, d, k):
+        return query_of(MultitaskInstance(SparseVector.from_dense(rng.normal(size=d)),
+                                          int(rng.integers(1, k + 1))), d, LINEAR)
+
+    def _oracle_gram(self, s, model):
+        stored = [instance_of(s.query(j)) for j in range(len(s))]
+        return np.array([[mt_kernel(a, b, model, LINEAR) for b in stored]
+                         for a in stored])
 
     def test_inverse_after_500_ops(self):
         from mtbudget.active_set import ActiveSet
-        from mtbudget.kernels import mt_kernel
         rng = np.random.default_rng(2)
         model = build_interaction_model(TaskGraph.complete(3))
         s = ActiveSet(20, 16, LINEAR, model)
@@ -94,13 +102,10 @@ class TestCriterion3ActiveSetOracle:
             if len(s) == 20 or (len(s) > 0 and rng.random() < 0.3):
                 s.evict(int(rng.integers(len(s))))
             else:
-                q = self._random_instance(rng, 16, 3)
+                q = self._random_query(rng, 16, 3)
                 s.insert(q, float(rng.normal()))
             if len(s):
-                G = np.array([[mt_kernel(s.instance(i), s.instance(j),
-                                         model, LINEAR)
-                               for j in range(len(s))]
-                              for i in range(len(s))])
+                G = self._oracle_gram(s, model)
                 worst = max(worst,
                             float(np.max(np.abs(s.gram_inv @ G - np.eye(len(s))))))
         assert worst <= 1e-6
@@ -108,7 +113,6 @@ class TestCriterion3ActiveSetOracle:
 
     def test_loo_and_downdate_brute_force(self):
         from mtbudget.active_set import ActiveSet
-        from mtbudget.kernels import mt_kernel
         rng = np.random.default_rng(3)
         model = build_interaction_model(TaskGraph.complete(3))
         worst = 0.0
@@ -116,11 +120,9 @@ class TestCriterion3ActiveSetOracle:
             n = int(rng.integers(2, 11))
             s = ActiveSet(10, 12, LINEAR, model)
             for _ in range(n):
-                s.insert(self._random_instance(rng, 12, 3),
+                s.insert(self._random_query(rng, 12, 3),
                          float(rng.normal()))
-            G = np.array([[mt_kernel(s.instance(i), s.instance(j),
-                                     model, LINEAR) for j in range(n)]
-                          for i in range(n)])
+            G = self._oracle_gram(s, model)
             loo = s.leave_one_out_residuals()
             for j in range(n):
                 idx = [i for i in range(n) if i != j]
@@ -152,23 +154,24 @@ class TestCriterion4PerceptronReduction:
         X = np.zeros((0, 10))
         betas, tasks = [], []
         oracle_mistakes = []
-        for t, e in enumerate(stream.iter_examples()):
-            x = e.instance.x.to_dense(10)
+        for t, (inst, y) in enumerate(zip(stream.instances, stream.labels)):
+            x = inst.x.to_dense(10)
             if len(betas):
-                kv = (X @ x) * M[np.array(tasks) - 1, e.instance.task - 1]
+                kv = (X @ x) * M[np.array(tasks) - 1, inst.task - 1]
                 score = float(np.dot(betas, kv))
             else:
                 score = 0.0
-            if e.label * score <= 0:
+            if y * score <= 0:
                 oracle_mistakes.append(t)
                 X = np.vstack([X, x])
-                betas.append(e.label)
-                tasks.append(e.instance.task)
+                betas.append(y)
+                tasks.append(inst.task)
+        examples = labelled(stream.instances, stream.labels, stream.d, LINEAR)
         for algo in ("mtrbp", "mtforg"):
             learner = make_learner(LearnerConfig(algo, graph, budget=10 ** 6,
                                                  kernel=LINEAR), 10)
-            got = [t for t, e in enumerate(stream.iter_examples())
-                   if learner.step(e).mistake]
+            got = [t for t, e in enumerate(examples)
+                   if learner.step(*e).mistake]
             assert got == oracle_mistakes, algo
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0
@@ -193,8 +196,9 @@ class TestCriterion5DeficitInvariant:
                                                      budget=budget,
                                                      kernel=LINEAR), 10)
                 cG = learner.model.cG
-                for e in stream.iter_examples():
-                    learner.step(e)
+                for e in labelled(stream.instances, stream.labels, stream.d,
+                                  LINEAR):
+                    learner.step(*e)
                     total += 1
                     assert (learner.deficit
                             <= DEFICIT_FRAC * cG * cG * learner.mistakes)
@@ -357,8 +361,11 @@ class TestCriterion9Determinism:
         code = ("import sys\n"
                 "from mtbudget.cli import main\n"
                 "sys.exit(main(%r))\n" % (argv,))
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True)
+        # the child imports the package this process imported
+        root = os.path.dirname(os.path.dirname(mtbudget.__file__))
+        path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 

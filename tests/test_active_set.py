@@ -7,60 +7,69 @@ from mtbudget.active_set import RIDGE, ActiveSet
 from mtbudget.errors import BudgetFull
 from mtbudget.graph import TaskGraph, build_interaction_model
 from mtbudget.kernels import (KernelSpec, MultitaskInstance, SparseVector,
-                              base_kernel, make_queries, mt_kernel)
+                              base_kernel, mt_kernel)
+from support import instance_of, query_of
 
 SPEC = KernelSpec("linear", normalize=True)
 MODEL = build_interaction_model(TaskGraph.complete(3))
 
 
-def rand_instance(rng, d=6, k=3):
-    return MultitaskInstance(SparseVector.from_dense(rng.normal(size=d)),
-                             int(rng.integers(1, k + 1)))
+def rand_query(rng, d=6, k=3, spec=SPEC):
+    return query_of(MultitaskInstance(SparseVector.from_dense(rng.normal(size=d)),
+                                      int(rng.integers(1, k + 1))), d, spec)
+
+
+def pairs_query(pairs, task, dim=6):
+    return query_of(MultitaskInstance(SparseVector.from_pairs(pairs), task), dim, SPEC)
 
 
 def make_set(budget=10, dim=6, mode="multitask", spec=SPEC, model=MODEL):
     return ActiveSet(budget, dim, spec, model, kernel_mode=mode)
 
 
-def dense_gram_oracle(s):
-    n = len(s)
+def oracle(s, a, b):
+    """The configured kernel of two queries, by brute force."""
+    a, b = instance_of(a), instance_of(b)
     if s.kernel_mode == "multitask":
-        return np.array([[mt_kernel(s.instance(i), s.instance(j), s.model, s.spec)
-                          for j in range(n)] for i in range(n)])
-    return np.array([[base_kernel(s.instance(i).x, s.instance(j).x, s.spec)
-                      for j in range(n)] for i in range(n)])
+        return mt_kernel(a, b, s.model, s.spec)
+    return base_kernel(a.x, b.x, s.spec)
+
+
+def dense_gram_oracle(s):
+    entries = [s.query(j) for j in range(len(s))]
+    return np.array([[oracle(s, a, b) for b in entries] for a in entries])
 
 
 class TestPredict:
     def test_empty(self):
         s = make_set()
-        assert s.predict(MultitaskInstance(SparseVector.from_pairs([(1, 1.0)]), 1)) == 0.0
+        assert s.predict(pairs_query([(1, 1.0)], 1)) == 0.0
 
     def test_single_entry_edgeless(self):
         model = build_interaction_model(TaskGraph.edgeless(2))
         s = make_set(model=model)
-        q = MultitaskInstance(SparseVector.from_pairs([(1, 2.0)]), 1)
+        q = pairs_query([(1, 2.0)], 1)
         s.insert(q, 1.0)
         assert s.predict(q) == pytest.approx(1.0)
 
     def test_cross_task_complete(self):
         s = make_set()
-        x = SparseVector.from_pairs([(1, 1.0), (2, 1.0)])
-        s.insert(MultitaskInstance(x, 1), 1.0)
-        assert s.predict(MultitaskInstance(x, 2)) == pytest.approx(0.25)
+        x = [(1, 1.0), (2, 1.0)]
+        s.insert(pairs_query(x, 1), 1.0)
+        assert s.predict(pairs_query(x, 2)) == pytest.approx(0.25)
 
     def test_per_task_mode(self):
         s = make_set(mode="single")
-        x = SparseVector.from_pairs([(1, 1.0)])
-        s.insert(MultitaskInstance(x, 1), np.array([0.5, 0.25, 0.25]))
-        assert s.predict(MultitaskInstance(x, 2)) == pytest.approx(0.25)
+        x = [(1, 1.0)]
+        s.insert(pairs_query(x, 1), np.array([0.5, 0.25, 0.25]))
+        assert s.predict(pairs_query(x, 2)) == pytest.approx(0.25)
 
 
 class TestProjection:
     def test_duplicate_entry(self):
         s = make_set()
         rng = np.random.default_rng(0)
-        q = rand_instance(rng)
+        q = rand_query(rng)
         s.insert(q, 1.0)
         alphas, resid = s.projection(q)
         assert alphas == pytest.approx([1.0], abs=1e-6)
@@ -70,13 +79,13 @@ class TestProjection:
         model = build_interaction_model(TaskGraph.edgeless(2))
         s = make_set(model=model)
         rng = np.random.default_rng(1)
-        _, resid = s.projection(rand_instance(rng, k=2))
+        _, resid = s.projection(rand_query(rng, k=2))
         assert resid == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_entries(self):
         s = make_set()
-        a = MultitaskInstance(SparseVector.from_pairs([(1, 1.0)]), 1)
-        b = MultitaskInstance(SparseVector.from_pairs([(2, 1.0)]), 1)
+        a = pairs_query([(1, 1.0)], 1)
+        b = pairs_query([(2, 1.0)], 1)
         s.insert(a, 1.0)
         s.insert(b, 1.0)
         alphas, resid = s.projection(b)
@@ -87,15 +96,14 @@ class TestProjection:
         rng = np.random.default_rng(2)
         s = make_set()
         for _ in range(8):
-            s.insert(rand_instance(rng), rng.normal())
+            s.insert(rand_query(rng), rng.normal())
         G = dense_gram_oracle(s)
         for _ in range(10):
-            q = rand_instance(rng)
-            col = np.array([mt_kernel(s.instance(i), q, s.model, s.spec)
-                            for i in range(len(s))])
+            q = rand_query(rng)
+            col = np.array([oracle(s, s.query(i), q) for i in range(len(s))])
             alphas, resid = s.projection(q)
             al2, *_ = np.linalg.lstsq(G, col, rcond=None)
-            kqq = mt_kernel(q, q, s.model, s.spec)
+            kqq = oracle(s, q, q)
             resid2 = np.sqrt(max(kqq - col @ al2, 0.0))
             assert alphas == pytest.approx(al2, abs=1e-6)
             assert resid == pytest.approx(resid2, abs=1e-6)
@@ -103,10 +111,10 @@ class TestProjection:
     def test_residual_monotone_in_entries(self):
         rng = np.random.default_rng(3)
         s = make_set(budget=12)
-        probes = [rand_instance(rng) for _ in range(5)]
+        probes = [rand_query(rng) for _ in range(5)]
         prev = [s.projection(p)[1] for p in probes]
         for _ in range(8):
-            s.insert(rand_instance(rng), 1.0)
+            s.insert(rand_query(rng), 1.0)
             cur = [s.projection(p)[1] for p in probes]
             for a, b in zip(cur, prev):
                 assert a <= b + 1e-9
@@ -117,26 +125,26 @@ class TestInsert:
     def test_first_insert(self):
         s = make_set()
         rng = np.random.default_rng(4)
-        q = rand_instance(rng)
+        q = rand_query(rng)
         s.insert(q, 1.0)
-        kqq = mt_kernel(q, q, s.model, s.spec)
+        kqq = oracle(s, q, q)
         assert s.gram[0, 0] == pytest.approx(kqq)
         assert s.gram_inv[0, 0] == pytest.approx(1.0 / kqq)
 
     def test_budget_full_raises(self):
         s = make_set(budget=2)
         rng = np.random.default_rng(5)
-        s.insert(rand_instance(rng), 1.0)
-        s.insert(rand_instance(rng), 1.0)
+        s.insert(rand_query(rng), 1.0)
+        s.insert(rand_query(rng), 1.0)
         with pytest.raises(BudgetFull):
-            s.insert(rand_instance(rng), 1.0)
-        s.insert(rand_instance(rng), 1.0, force=True)  # provisional slot
+            s.insert(rand_query(rng), 1.0)
+        s.insert(rand_query(rng), 1.0, force=True)  # provisional slot
         assert len(s) == 3
 
     def test_near_duplicate_triggers_ridge(self):
         s = make_set()
         rng = np.random.default_rng(6)
-        q = rand_instance(rng)
+        q = rand_query(rng)
         s.insert(q, 1.0)
         s.insert(q, -1.0)
         assert s.regularized
@@ -144,8 +152,8 @@ class TestInsert:
 
     def test_orthogonal_block(self):
         s = make_set()
-        a = MultitaskInstance(SparseVector.from_pairs([(1, 1.0)]), 1)
-        b = MultitaskInstance(SparseVector.from_pairs([(2, 1.0)]), 1)
+        a = pairs_query([(1, 1.0)], 1)
+        b = pairs_query([(2, 1.0)], 1)
         s.insert(a, 1.0)
         s.insert(b, 1.0)
         M11 = MODEL.inverse[0, 0]
@@ -155,14 +163,14 @@ class TestInsert:
         rng = np.random.default_rng(14)
         s = make_set(budget=4)
         for _ in range(3):
-            s.insert(rand_instance(rng), 1.0)
-        q = rand_instance(rng)
-        query = make_queries([q], 6, SPEC)[0]
-        s.projection(q, query)
+            s.insert(rand_query(rng), 1.0)
+        q = rand_query(rng)
+        s.projection(q)
         s.evict(1)      # the projection's terms no longer describe the set
-        s.insert(q, 1.0, query=query)
-        s.projection(q, query)
-        s.insert(MultitaskInstance(q.x, q.task % 3 + 1), 1.0, query=query)
+        s.insert(q, 1.0)
+        s.projection(q)
+        # an equal query of another task is another query
+        s.insert(q._replace(task=q.task % 3 + 1), 1.0)
         G = dense_gram_oracle(s)
         assert np.max(np.abs(s.gram - G)) <= 1e-12
         assert np.max(np.abs(s.gram_inv - np.linalg.inv(G))) <= 1e-9
@@ -172,7 +180,7 @@ class TestLeaveOneOut:
     def test_duplicates_have_zero_residual(self):
         s = make_set()
         rng = np.random.default_rng(7)
-        q = rand_instance(rng)
+        q = rand_query(rng)
         s.insert(q, 1.0)
         s.insert(q, 1.0)
         assert np.all(s.leave_one_out_residuals() <= 1e-4)
@@ -180,15 +188,15 @@ class TestLeaveOneOut:
     def test_orthogonal_unit_entries(self):
         model = build_interaction_model(TaskGraph.edgeless(2))
         s = make_set(model=model)
-        s.insert(MultitaskInstance(SparseVector.from_pairs([(1, 1.0)]), 1), 1.0)
-        s.insert(MultitaskInstance(SparseVector.from_pairs([(2, 1.0)]), 1), 1.0)
+        s.insert(pairs_query([(1, 1.0)], 1), 1.0)
+        s.insert(pairs_query([(2, 1.0)], 1), 1.0)
         assert s.leave_one_out_residuals() == pytest.approx([1.0, 1.0], abs=1e-9)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(8)
         s = make_set()
         for _ in range(5):
-            s.insert(rand_instance(rng), rng.normal())
+            s.insert(rand_query(rng), rng.normal())
         G = dense_gram_oracle(s)
         loo = s.leave_one_out_residuals()
         for j in range(5):
@@ -203,14 +211,14 @@ class TestEvict:
     def test_single_entry(self):
         s = make_set()
         rng = np.random.default_rng(9)
-        s.insert(rand_instance(rng), 1.0)
+        s.insert(rand_query(rng), 1.0)
         gammas = s.evict(0)
         assert len(s) == 0 and gammas.size == 0
 
     def test_duplicate_back_projection(self):
         s = make_set()
         rng = np.random.default_rng(10)
-        q = rand_instance(rng)
+        q = rand_query(rng)
         s.insert(q, 1.0)
         s.insert(q, 1.0)
         gammas = s.evict(0)
@@ -220,7 +228,7 @@ class TestEvict:
         rng = np.random.default_rng(11)
         s = make_set()
         for _ in range(6):
-            s.insert(rand_instance(rng), rng.normal())
+            s.insert(rand_query(rng), rng.normal())
         G = dense_gram_oracle(s)
         r = 2
         gammas = s.evict(r)
@@ -236,7 +244,7 @@ class TestRandomizedMaintenance:
         s = make_set(budget=20, dim=16)
         for _ in range(500):
             if len(s) == 0 or (len(s) < 20 and rng.random() < 0.6):
-                s.insert(rand_instance(rng, d=16), rng.normal())
+                s.insert(rand_query(rng, d=16, spec=s.spec), rng.normal())
             else:
                 s.evict(int(rng.integers(len(s))))
             if len(s):
@@ -288,14 +296,8 @@ def check_inverse(s):
 def check_projection(s, q):
     alphas, resid = s.projection(q)
     G = dense_gram_oracle(s)
-    if s.kernel_mode == "multitask":
-        col = np.array([mt_kernel(s.instance(j), q, s.model, s.spec)
-                        for j in range(len(s))])
-        kqq = mt_kernel(q, q, s.model, s.spec)
-    else:
-        col = np.array([base_kernel(s.instance(j).x, q.x, s.spec)
-                        for j in range(len(s))])
-        kqq = base_kernel(q.x, q.x, s.spec)
+    col = np.array([oracle(s, s.query(j), q) for j in range(len(s))])
+    kqq = oracle(s, q, q)
     want = np.linalg.solve(G, col)
     assert np.max(np.abs(alphas - want)) <= BORDER_TOL
     assert abs(resid ** 2 - max(kqq - col @ want, 0.0)) <= BORDER_TOL
@@ -327,7 +329,7 @@ class TestDeferredBorder:
 
         def fill(rng):
             while len(s) < budget:      # each insert folds in the last border
-                s.insert(rand_instance(rng, d=16), weight(rng))
+                s.insert(rand_query(rng, d=16, spec=s.spec), weight(rng))
 
         for step, (op, reader, seed) in enumerate(ops):
             rng = np.random.default_rng((seed, step))   # no repeats across steps
@@ -337,28 +339,28 @@ class TestDeferredBorder:
                     # an exact copy sits on the Schur floor: the inverse is
                     # rebuilt with a ridge, so the run ends after checking it
                     twin = int(rng.integers(budget))
-                    s.insert(s.instance(twin), weight(rng), force=True)
+                    s.insert(s.query(twin), weight(rng), force=True)
                     assert s.regularized
                     assert np.max(np.abs(s.gram - dense_gram_oracle(s)
                                          - RIDGE * np.eye(budget + 1))) <= BORDER_TOL
                     assert s.leave_one_out_residuals()[[twin, budget]].max() <= 1e-4
                     evict_and_check(s, twin)
                     return
-                s.insert(rand_instance(rng, d=16), weight(rng), force=True)
+                s.insert(rand_query(rng, d=16, spec=s.spec), weight(rng), force=True)
                 check_loo(s)
                 if reader == "project":
-                    check_projection(s, rand_instance(rng, d=16))
+                    check_projection(s, rand_query(rng, d=16, spec=s.spec))
                 elif reader == "gram_inv":
                     check_inverse(s)
                 evict_and_check(s, int(rng.integers(budget + 1)))
                 check_loo(s)
             elif op == "insert" and len(s) < budget:
-                s.insert(rand_instance(rng, d=16), weight(rng))
+                s.insert(rand_query(rng, d=16, spec=s.spec), weight(rng))
                 check_loo(s)
             elif op == "evict" and len(s) > 1:
                 evict_and_check(s, int(rng.integers(len(s))))
             elif op == "project" and len(s):
-                check_projection(s, rand_instance(rng, d=16))
+                check_projection(s, rand_query(rng, d=16, spec=s.spec))
             elif op == "gram_inv" and len(s):
                 check_inverse(s)
             elif op == "loo" and len(s):

@@ -68,6 +68,7 @@ class TestRun:
                      "--budget", "10", "--synth", SYNTH,
                      "--kernel", "linear"])
         assert code == 1
+        assert "`:norm`" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("algo", ["mtbprj", "mtbprj2", "mtrbp", "mtforg"])
@@ -106,6 +107,11 @@ class TestBaseline:
         doc = json.loads(out)
         assert doc["algo"] == "perceptron_battery"
         assert doc["mistakes"] == doc["final_active"] > 0
+
+    def test_unnormalized_kernel_rejected(self, capsys):
+        code = main(["baseline", "--synth", SYNTH, "--kernel", "linear"])
+        assert code == 1
+        assert "`:norm`" in capsys.readouterr().err
 
 
 class TestVerifyGraph:

@@ -70,8 +70,7 @@ class TestParse:
         p.write_text("1 3.7 1:1.0\n1 -0.5 2:1.0\n")
         stream = parse_dataset(p)
         assert not stream.binary
-        with pytest.raises(ValueError):
-            next(stream.iter_examples())
+        assert binarize_by_percentile(stream).binary
 
     def test_empty_file_rejected_at_binarization(self, tmp_path):
         p = tmp_path / "e.mtsvm"
@@ -138,6 +137,61 @@ class TestRescale:
         out = rescale_features(s)
         assert out.instances[0].x.to_dense(3)[0] == pytest.approx(0.0)
         assert out.instances[1].x.to_dense(3)[0] == pytest.approx(1.0)
+
+    def test_explicit_zero_and_negative_values(self):
+        # Feature 1 observed as {-2, 0, 2}: the stored 0.0 is observed and
+        # lands mid-range. Feature 2 holds only 0/1 and stays; feature 3 has
+        # one value. Values that map to 0 are dropped, emptying row 1.
+        s = stream_of([SparseVector.from_pairs([(1, -2.0), (2, 0.0)]),
+                       SparseVector.from_pairs([(1, 0.0), (2, 1.0), (3, -1.0)]),
+                       SparseVector.from_pairs([(1, 2.0)])], [1.0, -1.0, 1.0])
+        out = rescale_features(s)
+        got = [(list(inst.x.indices), list(inst.x.values)) for inst in out.instances]
+        assert got == [([], []), ([1, 2], [0.5, 1.0]), ([1], [1.0])]
+        assert [inst.task for inst in out.instances] == [1, 1, 1]
+        assert rescale_features(stream_of([], [])).instances == []
+
+    def test_matches_per_value_loop(self):
+        rng = np.random.default_rng(3)
+        choices = np.array([0.0, 1.0, -1.5, 2.0, 0.25])
+        vectors = []
+        for _ in range(80):
+            size = int(rng.integers(0, 9))
+            ids = np.sort(rng.choice(30, size=size, replace=False)) + 1
+            # features 1-10 see only 0/1, the others any mix of values
+            vals = np.where(ids <= 10, rng.integers(0, 2, ids.size),
+                            rng.choice(choices, ids.size) * rng.integers(1, 4, ids.size))
+            vectors.append(SparseVector(ids, vals.astype(float)))
+        s = stream_of(vectors, [1.0] * 80, d=30)
+        for got, want in zip(rescale_features(s).instances, rescale_loop(s)):
+            assert got.x.indices.dtype == want.indices.dtype
+            assert np.array_equal(got.x.indices, want.indices)
+            assert got.x.values.tobytes() == want.values.tobytes()
+
+
+def rescale_loop(stream):
+    """Per-value reference of `rescale_features`: each row's rescaled
+    SparseVector."""
+    lo, hi, binary_only = {}, {}, {}
+    for inst in stream.instances:
+        for i, val in zip(inst.x.indices.tolist(), inst.x.values.tolist()):
+            lo[i] = min(lo.get(i, val), val)
+            hi[i] = max(hi.get(i, val), val)
+            binary_only[i] = binary_only.get(i, True) and val in (0.0, 1.0)
+    rows = []
+    for inst in stream.instances:
+        pairs = []
+        for i, val in zip(inst.x.indices.tolist(), inst.x.values.tolist()):
+            if binary_only[i]:
+                new = val
+            elif hi[i] == lo[i]:
+                new = 0.0
+            else:
+                new = (val - lo[i]) / (hi[i] - lo[i])
+            if new != 0.0:
+                pairs.append((i, new))
+        rows.append(SparseVector.from_pairs(pairs))
+    return rows
 
 
 class TestSynthetic:

@@ -7,6 +7,7 @@ from mtbudget.harness import (StreamMetrics, baseline_active_size,
                               resolve_budget, run_stream)
 from mtbudget.kernels import KernelSpec
 from mtbudget.learners import LearnerConfig, make_learner
+from support import labelled
 
 SPEC = KernelSpec("linear", normalize=True)
 
@@ -47,14 +48,13 @@ class TestCausality:
                             eta=0.1, kernel=SPEC)
         learner = make_learner(cfg, stream.d)
         tp = fp = fn = tn = 0
-        for e in stream.iter_examples():
-            out = learner.step(e)
-            pred = out.prediction
-            if pred == 1 and e.label == 1:
+        for query, y in labelled(stream.instances, stream.labels, stream.d, SPEC):
+            pred = learner.step(query, y).prediction
+            if pred == 1 and y == 1:
                 tp += 1
             elif pred == 1:
                 fp += 1
-            elif e.label == 1:
+            elif y == 1:
                 fn += 1
             else:
                 tn += 1
@@ -75,10 +75,11 @@ class TestCausality:
         m_half = run_stream(half, cfg)
         learner = make_learner(cfg, stream.d)
         mist = 0
-        for i, e in enumerate(shuffled.iter_examples()):
+        examples = labelled(shuffled.instances, shuffled.labels, shuffled.d, SPEC)
+        for i, e in enumerate(examples):
             if i == 100:
                 break
-            mist += int(learner.step(e).mistake)
+            mist += int(learner.step(*e).mistake)
         assert mist == m_half.mistakes
 
 
@@ -100,6 +101,17 @@ class TestTrajectory:
                             kernel=SPEC)
         m = run_stream(stream, cfg)
         assert m.final_active == m.trajectory[-1][2] <= 10
+
+
+class TestBinaryLabels:
+    def test_real_labels_rejected(self):
+        stream = small_stream(n=20)
+        real = DatasetStream(stream.instances, stream.labels * 0.5, stream.k,
+                             stream.d)
+        cfg = LearnerConfig("mtrbp", TaskGraph.complete(3), budget=5,
+                            kernel=SPEC)
+        with pytest.raises(ValueError, match="binarize"):
+            run_stream(real, cfg)
 
 
 class TestEpochs:

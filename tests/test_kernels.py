@@ -3,10 +3,9 @@ import pytest
 
 from mtbudget.errors import ZeroNormInstance
 from mtbudget.graph import TaskGraph, build_interaction_model
-from mtbudget.kernels import (KernelSpec, MultitaskExample, MultitaskInstance,
-                              SparseVector, base_kernel, dense_gram,
-                              dense_kernel_vector, dense_self_raw, hinge_loss,
-                              mt_kernel)
+from mtbudget.kernels import (KernelSpec, MultitaskInstance, SparseVector,
+                              base_kernel, dense_gram, dense_kernel_vector,
+                              dense_self_raw, mt_kernel)
 
 
 def sv(*pairs):
@@ -132,20 +131,7 @@ class TestMtKernel:
                 base_kernel(a.x, b.x, self.spec), abs=1e-12)
 
 
-class TestHingeLoss:
-    @pytest.mark.parametrize("score,label,expect",
-                             [(1.0, 1, 0.0), (0.0, 1, 1.0), (-0.5, 1, 1.5),
-                              (-1.0, -1, 0.0), (2.0, -1, 3.0)])
-    def test_values(self, score, label, expect):
-        assert hinge_loss(score, label) == pytest.approx(expect)
-
-
 class TestExampleTypes:
-    def test_label_validation(self):
-        inst = MultitaskInstance(sv((1, 1.0)), 1)
-        with pytest.raises(ValueError):
-            MultitaskExample(inst, 0)
-
     def test_task_validation(self):
         with pytest.raises(ValueError):
             MultitaskInstance(sv((1, 1.0)), 0)

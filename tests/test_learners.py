@@ -8,10 +8,10 @@ from mtbudget.active_set import ActiveSet
 from mtbudget.data import generate_synthetic
 from mtbudget.errors import DomainError
 from mtbudget.graph import TaskGraph, build_interaction_model
-from mtbudget.kernels import (KernelSpec, MultitaskExample, MultitaskInstance,
-                              SparseVector, base_kernel, mt_kernel)
+from mtbudget.kernels import KernelSpec, MultitaskInstance, SparseVector, mt_kernel
 from mtbudget.learners import (DEFICIT_FRAC, LearnerConfig, compute_phi,
                                make_learner, mtforg_bound, mtrbp_bound)
+from support import instance_of, labelled
 
 SPEC = KernelSpec("linear", normalize=True)
 
@@ -22,7 +22,9 @@ def cfg(algo, graph, **kw):
 
 
 def ex(x, task, y):
-    return MultitaskExample(MultitaskInstance(SparseVector.from_dense(x), task), y)
+    """One (query, label) pair of a dense row."""
+    return labelled([MultitaskInstance(SparseVector.from_dense(x), task)], [y],
+                    len(x), SPEC)[0]
 
 
 def rand_examples(rng, n, d=8, k=3):
@@ -31,6 +33,15 @@ def rand_examples(rng, n, d=8, k=3):
         out.append(ex(rng.normal(size=d), int(rng.integers(1, k + 1)),
                       int(rng.choice((-1, 1)))))
     return out
+
+
+def stream_examples(stream):
+    return labelled(stream.instances, stream.labels, stream.d, SPEC)
+
+
+def mt_oracle(a, b, model):
+    """The multitask kernel of two queries, by brute force."""
+    return mt_kernel(instance_of(a), instance_of(b), model, SPEC)
 
 
 def grid_phi(a, b, C):
@@ -43,23 +54,23 @@ class TestMtbprj:
     def test_correct_prediction_no_change(self):
         g = TaskGraph.complete(3)
         learner = make_learner(cfg("mtbprj", g, budget=5), 4)
-        learner.step(ex([1.0, 0, 0, 0], 1, 1))
+        learner.step(*ex([1.0, 0, 0, 0], 1, 1))
         before = learner.active_set.weights.copy()
-        out = learner.step(ex([1.0, 0, 0, 0], 1, 1))  # score > 0, same label
+        out = learner.step(*ex([1.0, 0, 0, 0], 1, 1))  # score > 0, same label
         assert not out.mistake and out.action == "none"
         assert np.array_equal(learner.active_set.weights, before)
 
     def test_first_mistake_inserts_label_weight(self):
         learner = make_learner(cfg("mtbprj", TaskGraph.complete(3), budget=5), 4)
-        out = learner.step(ex([0, 1.0, 0, 0], 2, -1))
+        out = learner.step(*ex([0, 1.0, 0, 0], 2, -1))
         assert out.mistake and out.action == "insert"
         assert len(learner.active_set) == 1
         assert learner.active_set.weights[0] == -1.0
 
     def test_duplicate_goes_to_projection_branch(self):
         learner = make_learner(cfg("mtbprj", TaskGraph.complete(3), budget=5), 4)
-        learner.step(ex([1.0, 0, 0, 0], 1, 1))
-        out = learner.step(ex([1.0, 0, 0, 0], 1, -1))  # same point, flipped label
+        learner.step(*ex([1.0, 0, 0, 0], 1, 1))
+        out = learner.step(*ex([1.0, 0, 0, 0], 1, -1))  # same point, flipped label
         assert out.mistake and out.action == "weight_update_projection"
         assert len(learner.active_set) == 1
         assert learner.active_set.weights[0] == pytest.approx(0.0, abs=1e-9)
@@ -69,42 +80,42 @@ class TestMtbprj:
         g = TaskGraph.complete(3)
         model = build_interaction_model(g)
         learner = make_learner(cfg("mtbprj", g, budget=10, eta=0.5), 4)
-        probes = [MultitaskInstance(SparseVector.from_dense(rng.normal(size=4)),
-                                    int(rng.integers(1, 4))) for _ in range(100)]
+        probes = [ex(rng.normal(size=4), int(rng.integers(1, 4)), 1)[0]
+                  for _ in range(100)]
         seen = 0
-        for e in rand_examples(rng, 400, d=4):
+        for query, y in rand_examples(rng, 400, d=4):
             before = None
             s = learner.active_set
-            if len(s) and e.label * learner.predict_score(e.instance) <= 0:
-                _, resid = s.projection(e.instance)
+            if len(s) and y * s.predict(query) <= 0:
+                _, resid = s.projection(query)
                 if resid <= learner.config.eta:
                     before = np.array([s.predict(p) for p in probes])
-                    alphas = s.projection(e.instance)[0]
+                    alphas = s.projection(query)[0]
                     kp = np.array([
-                        sum(a * mt_kernel(s.instance(j), p, model, SPEC)
+                        sum(a * mt_oracle(s.query(j), p, model)
                             for j, a in enumerate(alphas)) for p in probes])
-            learner.step(e)
+            learner.step(query, y)
             if before is not None:
                 seen += 1
                 after = np.array([learner.active_set.predict(p) for p in probes])
-                assert after == pytest.approx(before + e.label * kp, abs=1e-6)
+                assert after == pytest.approx(before + y * kp, abs=1e-6)
         assert seen > 0
 
     def test_eviction_matches_damage_argmin(self):
         rng = np.random.default_rng(1)
         learner = make_learner(cfg("mtbprj", TaskGraph.complete(3), budget=4), 12)
         evictions = 0
-        for e in rand_examples(rng, 200, d=12):
+        for query, y in rand_examples(rng, 200, d=12):
             s = learner.active_set
             expect = None
-            if (len(s) == 4 and e.label * learner.predict_score(e.instance) <= 0
-                    and s.projection(e.instance)[1] > learner.config.eta):
-                entries = [s.instance(j) for j in range(4)]
+            if (len(s) == 4 and y * s.predict(query) <= 0
+                    and s.projection(query)[1] > learner.config.eta):
+                entries = [s.query(j) for j in range(4)]
                 beta = s.weights.copy()
                 # brute-force damage of each candidate over J \ {j} u {t}
                 model = learner.model
-                cand = entries + [e.instance]
-                G = np.array([[mt_kernel(a, b, model, SPEC) for b in cand]
+                cand = entries + [query]
+                G = np.array([[mt_oracle(a, b, model) for b in cand]
                               for a in cand])
                 damages = []
                 for j in range(4):
@@ -115,13 +126,13 @@ class TestMtbprj:
                     damages.append(abs(beta[j]) * resid)
                 expect = entries[int(np.argmin(damages))]
                 survivors_should_drop = expect
-            out = learner.step(e)
+            out = learner.step(query, y)
             if expect is not None:
                 evictions += 1
                 assert out.action == "insert_evict"
-                kept = [learner.active_set.instance(j).x
+                kept = [learner.active_set.query(j)
                         for j in range(len(learner.active_set))]
-                assert all(k is not survivors_should_drop.x for k in kept)
+                assert all(k is not survivors_should_drop for k in kept)
         assert evictions > 0
 
     def test_eta_zero_matches_unbudgeted_perceptron(self):
@@ -132,14 +143,15 @@ class TestMtbprj:
         learner = make_learner(cfg("mtbprj", g, budget=10 ** 6, eta=1e-300), stream.d)
         beta, stored = [], []
         mist_ref, mist_got = [], []
-        for t, e in enumerate(stream.iter_examples()):
-            score = sum(b * mt_kernel(s, e.instance, model, SPEC)
+        for t, (inst, (query, y)) in enumerate(zip(stream.instances,
+                                                   stream_examples(stream))):
+            score = sum(b * mt_kernel(s, inst, model, SPEC)
                         for b, s in zip(beta, stored))
-            if e.label * score <= 0:
+            if y * score <= 0:
                 mist_ref.append(t)
-                beta.append(e.label)
-                stored.append(e.instance)
-            if learner.step(e).mistake:
+                beta.append(y)
+                stored.append(inst)
+            if learner.step(query, y).mistake:
                 mist_got.append(t)
         assert mist_got == mist_ref
 
@@ -147,7 +159,7 @@ class TestMtbprj:
 class TestMtbprj2:
     def test_insert_column_complete_k3(self):
         learner = make_learner(cfg("mtbprj2", TaskGraph.complete(3), budget=5), 4)
-        out = learner.step(ex([0, 1.0, 0, 0], 1, 1))
+        out = learner.step(*ex([0, 1.0, 0, 0], 1, 1))
         assert out.action == "insert"
         assert learner.active_set.weights[:, 0] == pytest.approx([0.5, 0.25, 0.25])
 
@@ -159,9 +171,9 @@ class TestMtbprj2:
         l1 = make_learner(cfg("mtbprj", g, budget=5), 4)
         x = [1.0, 0, 0, 0]
         for learner in (l1, l2):
-            learner.step(ex(x, 1, 1))
-        out2 = l2.step(ex(x, 3, 1))  # score 0 -> mistake; x in span
-        out1 = l1.step(ex(x, 3, 1))
+            learner.step(*ex(x, 1, 1))
+        out2 = l2.step(*ex(x, 3, 1))  # score 0 -> mistake; x in span
+        out1 = l1.step(*ex(x, 3, 1))
         assert out2.action == "weight_update_projection"
         assert out1.action == "insert"
 
@@ -181,15 +193,15 @@ class TestMtbprj2:
         learner = make_learner(cfg("mtbprj2", TaskGraph.complete(3), budget=3), 16)
         actions = set()
         for e in rand_examples(rng, 200, d=16):
-            actions.add(learner.step(e).action)
+            actions.add(learner.step(*e).action)
             assert len(learner.active_set) <= 3
         assert "insert_evict" in actions
 
 
 @pytest.mark.parametrize("algo", ["mtbprj", "mtbprj2"])
 def test_one_kernel_column_per_predict_and_projection(algo, monkeypatch):
-    """At full budget a mistake costs the predict's column and the
-    projection's; the insert reuses the projection's."""
+    """A mistake costs the predict's kernel column only: the projection
+    reuses it, and the insert reuses the projection's terms."""
     calls = [0]
     real_kernel_vector = active_set_module.dense_kernel_vector
 
@@ -207,13 +219,18 @@ def test_one_kernel_column_per_predict_and_projection(algo, monkeypatch):
         monkeypatch.setattr(ActiveSet, op, counted)
 
     learner = make_learner(cfg(algo, TaskGraph.complete(3), budget=6), 8)
-    actions = [learner.step(e).action
+    actions = [learner.step(*e).action
                for e in rand_examples(np.random.default_rng(0), 300)]
     assert actions.count("insert_evict") >= 20
-    for op in ("predict", "projection"):
-        assert all(n == (0 if empty else 1) for n, empty in columns[op])
-    assert all(n == 0 for n, _ in columns["insert"])
-    assert calls[0] == sum(n for seen in columns.values() for n, _ in seen)
+    assert all(n == (0 if empty else 1) for n, empty in columns["predict"])
+    for op in ("projection", "insert"):
+        assert all(n == 0 for n, _ in columns[op])
+    assert calls[0] == sum(n for n, _ in columns["predict"])
+    # the predict's column serves only a projection of the same query
+    (a, _), (b, _) = rand_examples(np.random.default_rng(1), 2)
+    learner.active_set.predict(a)
+    learner.active_set.projection(b)
+    assert columns["projection"][-1] == (1, False)
 
 
 class TestMtrbp:
@@ -226,18 +243,18 @@ class TestMtrbp:
         for e in rand_examples(rng, 300, d=10):
             s = learner.active_set
             full = len(s) == 3
-            pre = [s.instance(j).x for j in range(len(s))] if full else None
-            out = learner.step(e)
+            pre = [s.query(j) for j in range(len(s))] if full else None
+            out = learner.step(*e)
             if out.mistake and full:
                 evicted = int(oracle.integers(3))
-                kept = [learner.active_set.instance(j).x for j in range(2)]
+                kept = [learner.active_set.query(j) for j in range(2)]
                 expected_kept = [x for j, x in enumerate(pre) if j != evicted]
                 assert kept == expected_kept
             assert len(learner.active_set) <= 3
 
     def test_weight_is_label_below_budget(self):
         learner = make_learner(cfg("mtrbp", TaskGraph.complete(2), budget=5), 4)
-        out = learner.step(ex([1.0, 0, 0, 0], 1, -1))
+        out = learner.step(*ex([1.0, 0, 0, 0], 1, -1))
         assert out.action == "insert"
         assert learner.active_set.weights[0] == -1.0
 
@@ -289,8 +306,8 @@ class TestMtforg:
         g = TaskGraph.complete(3)
         forg = make_learner(cfg("mtforg", g, budget=10 ** 6), stream.d)
         rbp = make_learner(cfg("mtrbp", g, budget=10 ** 6), stream.d)
-        for e in stream.iter_examples():
-            assert forg.step(e).mistake == rbp.step(e).mistake
+        for e in stream_examples(stream):
+            assert forg.step(*e).mistake == rbp.step(*e).mistake
         assert forg.deficit == 0.0
 
     def test_full_budget_shrink_and_deficit(self):
@@ -299,18 +316,18 @@ class TestMtforg:
         learner = make_learner(cfg("mtforg", g, budget=4), 10)
         cG = learner.model.cG
         shrinks = 0
-        for e in rand_examples(rng, 300, d=10):
+        for query, y in rand_examples(rng, 300, d=10):
             s = learner.active_set
             pre = None
-            if len(s) == 4 and e.label * learner.predict_score(e.instance) <= 0:
+            if len(s) == 4 and y * s.predict(query) <= 0:
                 oldest = s.oldest()
                 pre = dict(beta_r=float(s.weights[oldest]),
                            y_r=learner._labels[oldest],
-                           f_r=s.predict(s.instance(oldest)),
+                           f_r=s.predict(s.query(oldest)),
                            weights=s.weights.copy(),
                            Q=learner.deficit, M=learner.mistakes,
-                           first=s.instance(oldest).x)
-            out = learner.step(e)
+                           first=s.query(oldest))
+            out = learner.step(query, y)
             if pre is not None:
                 shrinks += 1
                 assert out.action == "insert_evict_shrink"
@@ -318,10 +335,10 @@ class TestMtforg:
                                        pre["Q"], pre["M"] + 1, cG)
                 s = learner.active_set
                 # oldest dropped, newcomer got y*phi, survivors scaled by phi
-                assert all(s.instance(j).x is not pre["first"] for j in range(4))
+                assert all(s.query(j) is not pre["first"] for j in range(4))
                 survivors = pre["weights"][1:] * phi
                 assert s.weights[:3] == pytest.approx(survivors, abs=1e-12)
-                assert s.weights[3] == pytest.approx(e.label * phi, abs=1e-12)
+                assert s.weights[3] == pytest.approx(y * phi, abs=1e-12)
                 assert learner.deficit == pytest.approx(pre["Q"] + psi, abs=1e-12)
             assert learner.deficit <= DEFICIT_FRAC * cG * cG * learner.mistakes
             assert len(learner.active_set) <= 4
@@ -335,7 +352,7 @@ class TestMtforg:
 class TestBattery:
     def test_mistake_appends_to_task_expansion(self):
         learner = make_learner(cfg("perceptron_battery", TaskGraph.edgeless(2)), 4)
-        out = learner.step(ex([1.0, 0, 0, 0], 2, 1))
+        out = learner.step(*ex([1.0, 0, 0, 0], 2, 1))
         assert out.mistake and learner.active_size == 1
         assert learner._count[1] == 1 and learner._count[0] == 0
 
@@ -344,8 +361,8 @@ class TestBattery:
         g = TaskGraph.edgeless(2)
         battery = make_learner(cfg("perceptron_battery", g), stream.d)
         rbp = make_learner(cfg("mtrbp", g, budget=10 ** 6), stream.d)
-        for e in stream.iter_examples():
-            a, b = battery.step(e), rbp.step(e)
+        for e in stream_examples(stream):
+            a, b = battery.step(*e), rbp.step(*e)
             assert a.mistake == b.mistake
             assert a.score == pytest.approx(b.score, abs=1e-9)
 
@@ -357,7 +374,7 @@ class TestBudgetRespected:
         rng = np.random.default_rng(13)
         learner = make_learner(cfg(algo, TaskGraph.complete(3), budget=budget), 10)
         for e in rand_examples(rng, 500, d=10):
-            learner.step(e)
+            learner.step(*e)
             assert len(learner.active_set) <= budget
 
 
@@ -375,17 +392,17 @@ class TestSingleTaskReduction:
                                    seed=3), stream.d)
         rng = np.random.default_rng(3)
         X, w = [], []
-        for t, e in enumerate(stream.iter_examples()):
-            x = e.instance.x.to_dense(stream.d)
+        for inst, (query, y) in zip(stream.instances, stream_examples(stream)):
+            x = inst.x.to_dense(stream.d)
             x = x / np.linalg.norm(x)
             score = sum(wi * float(xi @ x) for wi, xi in zip(w, X))
-            if e.label * score <= 0:
+            if y * score <= 0:
                 if len(X) >= 7:
                     r = int(rng.integers(7))
                     del X[r], w[r]
                 X.append(x)
-                w.append(e.label)
-            got = learner.step(e)
+                w.append(y)
+            got = learner.step(query, y)
             assert got.score == pytest.approx(score, abs=1e-9)
 
     def test_mtbprj_matches_scalar_budget_projectron(self):
@@ -394,13 +411,12 @@ class TestSingleTaskReduction:
         learner = make_learner(cfg("mtbprj", TaskGraph.edgeless(1), budget=5,
                                    eta=eta), stream.d)
         X, beta = [], []
-        for e in stream.iter_examples():
-            x = e.instance.x.to_dense(stream.d)
+        for inst, (query, y) in zip(stream.instances, stream_examples(stream)):
+            x = inst.x.to_dense(stream.d)
             x = x / np.linalg.norm(x)
-            y = e.label
             kv = np.array([float(xi @ x) for xi in X])
             score = float(np.dot(beta, kv)) if X else 0.0
-            assert learner.step(e).score == pytest.approx(score, abs=1e-6)
+            assert learner.step(query, y).score == pytest.approx(score, abs=1e-6)
             if y * score <= 0:
                 if X:
                     G = np.array([[float(a @ b) for b in X] for a in X])
@@ -439,12 +455,11 @@ class TestSingleTaskReduction:
                                stream.d)
         X, w, labels = [], [], []
         Q, M = 0.0, 0
-        for e in stream.iter_examples():
-            x = e.instance.x.to_dense(stream.d)
+        for inst, (query, y) in zip(stream.instances, stream_examples(stream)):
+            x = inst.x.to_dense(stream.d)
             x = x / np.linalg.norm(x)
-            y = e.label
             score = sum(wi * float(xi @ x) for wi, xi in zip(w, X))
-            assert learner.step(e).score == pytest.approx(score, abs=1e-9)
+            assert learner.step(query, y).score == pytest.approx(score, abs=1e-9)
             if y * score <= 0:
                 M += 1
                 if len(X) < B:

@@ -3,7 +3,8 @@
 Sparse queries and the same queries densified must agree with each other
 and with brute-force `mt_kernel` oracles after random insert / evict /
 projection sequences that reuse freed slots; and the streaming harness must
-make the same mistakes as stepping each learner without prepared queries.
+make the same mistakes as stepping each learner by hand on queries built
+one example at a time, sparse or dense.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from mtbudget.kernels import (KernelSpec, MultitaskInstance, Query, SparseVector
                               base_kernel, dense_self_raw, make_queries,
                               mt_kernel)
 from mtbudget.learners import ALGORITHMS, LearnerConfig, make_learner
+from support import instance_of, query_of
 
 D = 5000
 NNZ = 30
@@ -44,25 +46,27 @@ def sparse_instance(rng, like=None):
 
 def dense_query(inst, dim, spec):
     x = inst.x.to_dense(dim)
-    return Query(None, x, dense_self_raw(x, spec), float(np.dot(x, x)))
+    return Query(None, x, dense_self_raw(x, spec), float(np.dot(x, x)), inst.task)
+
+
+def entries(s):
+    return [instance_of(s.query(j)) for j in range(len(s))]
 
 
 def oracle_base(s, q):
     """Configured base-kernel values of q against the entries, by brute force."""
     if s.kernel_mode == "multitask":
-        return np.array([mt_kernel(s.instance(j), q, s.model, s.spec)
-                         for j in range(len(s))])
-    return np.array([base_kernel(s.instance(j).x, q.x, s.spec)
-                     for j in range(len(s))])
+        return np.array([mt_kernel(e, q, s.model, s.spec) for e in entries(s)])
+    return np.array([base_kernel(e.x, q.x, s.spec) for e in entries(s)])
 
 
 def oracle_gram(s):
-    entries = [s.instance(j) for j in range(len(s))]
+    stored = entries(s)
     if s.kernel_mode == "multitask":
-        return np.array([[mt_kernel(a, b, s.model, s.spec) for b in entries]
-                         for a in entries])
-    return np.array([[base_kernel(a.x, b.x, s.spec) for b in entries]
-                     for a in entries])
+        return np.array([[mt_kernel(a, b, s.model, s.spec) for b in stored]
+                         for a in stored])
+    return np.array([[base_kernel(a.x, b.x, s.spec) for b in stored]
+                     for a in stored])
 
 
 def oracle_predict(s, q):
@@ -74,12 +78,12 @@ def oracle_predict(s, q):
 
 
 def check_against_oracle(s, q):
-    sq = make_queries([q], D, s.spec)[0]
+    sq = query_of(q, D, s.spec)
     dq = dense_query(q, D, s.spec)
     want = oracle_base(s, q)
     for query in (sq, dq):
-        assert np.allclose(s.kernel_column(q, query), want, rtol=0, atol=TOL)
-        assert abs(s.predict(q, query) - oracle_predict(s, q)) <= TOL
+        assert np.allclose(s.kernel_column(query), want, rtol=0, atol=TOL)
+        assert abs(s.predict(query) - oracle_predict(s, q)) <= TOL
     assert np.allclose(s.gram, oracle_gram(s), rtol=0, atol=TOL)
 
 
@@ -106,8 +110,8 @@ class TestSlotStore:
                     s.evict(int(rng.integers(len(s))))
             elif op == "project":
                 q = sparse_instance(rng)
-                a1, r1 = s.projection(q, make_queries([q], D, spec)[0])
-                a2, r2 = s.projection(q, dense_query(q, D, spec))
+                a1, r1 = s.projection(query_of(q, D, spec))
+                a2, r2 = s.projection(dense_query(q, D, spec))
                 assert np.allclose(a1, a2, rtol=1e-9, atol=TOL)
                 assert abs(r1 - r2) <= 1e-6
             else:
@@ -116,10 +120,10 @@ class TestSlotStore:
                 q = sparse_instance(rng, like)
                 stored.append(q)
                 query = (dense_query(q, D, spec) if op == "insert_dense"
-                         else make_queries([q], D, spec)[0])
+                         else query_of(q, D, spec))
                 w = rng.standard_normal(K) if mode == "single" else rng.standard_normal()
                 full = len(s) >= budget
-                s.insert(q, w, force=full, query=query)
+                s.insert(query, w, force=full)
                 if full:    # reuse: free a slot the next insert takes
                     s.evict(int(rng.integers(len(s))))
             assert len(s) <= budget
@@ -130,22 +134,25 @@ class TestSlotStore:
         rng = np.random.default_rng(0)
         s = ActiveSet(3, D, SPECS["linear"], MODEL, maintain_inverse=False)
         for _ in range(3):
-            s.insert(sparse_instance(rng), 1.0)
+            s.insert(query_of(sparse_instance(rng), D, SPECS["linear"]), 1.0)
         stored = s._X[:, :3].copy()     # feature-major: one column per slot
         s.evict(0)
         q = sparse_instance(rng)
-        s.insert(q, 1.0)
+        query = query_of(q, D, SPECS["linear"])
+        s.insert(query, 1.0)
         assert s._hi == 3
         assert np.array_equal(s._X[:, 1:3], stored[:, 1:3])
         assert np.array_equal(s._X[:, 0], q.x.to_dense(D))
-        assert [s.instance(j).x for j in range(3)][-1] is q.x
+        assert [s.query(j) for j in range(3)][-1] is query
 
 
 class TestQueryForm:
     def test_form_follows_stream_density(self):
         rng = np.random.default_rng(1)
         sparse = [sparse_instance(rng) for _ in range(5)]
-        assert all(q.idx is not None for q in make_queries(sparse, D, SPECS["linear"]))
+        queries = make_queries(sparse, D, SPECS["linear"])
+        assert all(q.idx is not None for q in queries)
+        assert [q.task for q in queries] == [inst.task for inst in sparse]
         dense = [MultitaskInstance(SparseVector.from_dense(rng.standard_normal(8)), 1)
                  for _ in range(5)]
         assert all(q.idx is None for q in make_queries(dense, 8, SPECS["linear"]))
@@ -176,6 +183,8 @@ def sparse_stream(n=300, d=400, nnz=8, k=K, seed=0):
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_harness_matches_stepping_without_queries(algo, monkeypatch):
+    """The harness builds the stream's queries in one call; stepping by hand
+    builds each example's query alone (sparse) or as a dense row."""
     stream = sparse_stream()
     config = LearnerConfig(algo, TaskGraph.complete(K), budget=12, eta=0.05,
                            kernel=SPECS["linear"], seed=3)
@@ -188,8 +197,8 @@ def test_harness_matches_stepping_without_queries(algo, monkeypatch):
         learner = real_make_learner(cfg, dim)
         step = learner.step
 
-        def traced(example, query=None):
-            out = step(example, query)
+        def traced(query, y):
+            out = step(query, y)
             seen.append((out.mistake, out.action))
             return out
         learner.step = traced
@@ -201,10 +210,10 @@ def test_harness_matches_stepping_without_queries(algo, monkeypatch):
     plain = make_learner(config, stream.d)
     dense = make_learner(config, stream.d)
     want, dense_seen = [], []
-    for ex in stream.iter_examples():
-        out = plain.step(ex)
+    for inst, y in zip(stream.instances, stream.labels):
+        out = plain.step(query_of(inst, stream.d, config.kernel), int(y))
         want.append((out.mistake, out.action))
-        out = dense.step(ex, dense_query(ex.instance, stream.d, config.kernel))
+        out = dense.step(dense_query(inst, stream.d, config.kernel), int(y))
         dense_seen.append((out.mistake, out.action))
     assert seen == want == dense_seen
     assert metrics.mistakes == plain.mistakes > 0
