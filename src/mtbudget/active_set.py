@@ -1,4 +1,6 @@
-"""Budgeted active set with an incrementally maintained Gram inverse.
+"""Budgeted active set with an incrementally maintained Gram inverse, and
+the slot store that holds stored vectors for it and for the Perceptron
+battery.
 
 Prediction, projection, insertion and eviction all run in O(B^2) or
 better once the inverse is current: insertion borders H^-1 with the
@@ -9,8 +11,10 @@ Stored feature vectors, and the rows and columns of H and H^-1, sit in
 physical slots that never move; a logical-order slot map gives each
 entry's slot. Eviction frees a slot and zeroes its row and column of
 H^-1, shifting only the O(B) per-entry arrays; the next insert reuses the
-slot. The store is feature-major (d x capacity), so a sparse query's
-kernel column reads one short contiguous run per nonzero feature.
+slot. The vectors live in a SlotStore: feature-major, one column per
+slot, with a row only for the features some stored vector has used, so a
+sparse query's kernel column reads one short contiguous run per nonzero
+feature and memory is O(d + F * capacity) for F distinct stored features.
 
 An insert leaves its border of H^-1 pending, as the bordering vector a
 (H^-1 times the new column, with -1 at the new slot) and the Schur
@@ -31,6 +35,99 @@ from .kernels import KernelSpec, Query, dense_gram, dense_kernel_vector
 
 RIDGE = 1e-10
 _SCHUR_MIN = 1e-10
+
+
+def _grown(arr, shape):
+    """`arr` copied into the top-left corner of a zero array of `shape`."""
+    out = np.zeros(shape, dtype=arr.dtype)
+    out[tuple(slice(0, n) for n in arr.shape)] = arr
+    return out
+
+
+class SlotStore:
+    """Vectors in slots, feature-major (one column per slot), with a row
+    only for the features some stored vector has used.
+
+    A store-wide map sends each feature id to its row. Features no stored
+    vector has used map to row 0, which stays all zero, so a sparse query's
+    block `X[map[idx], :hi]` holds the same values a d-row store would. The
+    first dense query turns the store dense: every feature gets its row, in
+    feature order, and a dense query's block is the plain slice `X[:, :hi]`.
+    Per slot the store also keeps the raw self kernel, the squared norm and
+    the Query written there. Rows grow by doubling, slots by `resize`.
+    """
+
+    def __init__(self, dim, cap):
+        self.dim = dim
+        self.X = np.zeros((1, cap))
+        self.row = np.zeros(dim, dtype=np.intp)
+        self.rows = 1           # rows in use (sparse layout: with the zero row)
+        self.dense = False
+        self.self_raw = np.zeros(cap)
+        self.sq = np.zeros(cap)
+        self.queries = [None] * cap
+
+    def block(self, query: Query, hi):
+        """Slots 0..hi-1 at the query's features, one column per slot: the
+        matrix `dense_kernel_vector` takes."""
+        if query.idx is not None:
+            # take copies whole rows but ran faster than X[rows, :hi]
+            return self.X.take(self.row.take(query.idx), axis=0)[:, :hi]
+        if not self.dense:
+            self._densify()
+        return self.X[:, :hi]
+
+    def write(self, slot, query: Query):
+        """Store the query in `slot`, clearing the features of what it held."""
+        if query.idx is None:
+            if not self.dense:
+                self._densify()
+            self.X[:, slot] = query.x
+        else:
+            old = self.queries[slot]
+            if old is not None:
+                self.X[slice(None) if old.idx is None else self.row[old.idx],
+                       slot] = 0.0
+            rows = self._rows_of(query.idx)    # may grow self.X
+            self.X[rows, slot] = query.x
+        self.self_raw[slot] = query.self_raw
+        self.sq[slot] = query.sq
+        self.queries[slot] = query
+
+    def resize(self, cap):
+        """Grow to `cap` slots."""
+        self.X = _grown(self.X, (self.X.shape[0], cap))
+        self.self_raw = _grown(self.self_raw, cap)
+        self.sq = _grown(self.sq, cap)
+        self.queries.extend([None] * (cap - len(self.queries)))
+
+    def full(self):
+        """The stored vectors as a d x capacity array (a copy unless dense)."""
+        if self.dense:
+            return self.X
+        out = np.zeros((self.dim, self.X.shape[1]))
+        feats = np.flatnonzero(self.row)
+        out[feats] = self.X[self.row[feats]]
+        return out
+
+    def _rows_of(self, idx):
+        """Rows of the features `idx`, given rows first if they have none."""
+        rows = self.row.take(idx)
+        if self.dense or rows.all():
+            return rows
+        new = idx[rows == 0]
+        used = self.rows + new.size
+        if used > self.X.shape[0]:
+            self.X = _grown(self.X, (max(used, 2 * self.X.shape[0]), self.X.shape[1]))
+        self.row[new] = np.arange(self.rows, used)
+        self.rows = used
+        return self.row[idx]
+
+    def _densify(self):
+        self.X = self.full()
+        self.row = np.arange(self.dim)
+        self.rows = self.dim
+        self.dense = True
 
 
 class ActiveSet:
@@ -60,14 +157,11 @@ class ActiveSet:
         self.regularized = False
         self.n = 0
         self._cap = min(16, self.budget + 1)
-        # Per slot, never moved: feature column, raw self kernel, squared
-        # norm, task and the Query the entry was inserted with; and the
-        # slot's row and column of H and H^-1.
-        self._X = np.zeros((dim, self._cap))
-        self._self_raw = np.zeros(self._cap)
-        self._sq = np.zeros(self._cap)
+        # Per slot, never moved: the stored vector (with its self kernel,
+        # squared norm and Query), its task, and the slot's row and column
+        # of H and H^-1.
+        self._store = SlotStore(self.dim, self._cap)
         self._tasks = np.zeros(self._cap, dtype=np.int64)
-        self._queries = [None] * self._cap
         self._hi = 0        # slots ever used
         self._free = []     # slots below _hi that hold no entry
         self._in_order = True   # until the first eviction, slot j holds entry j
@@ -120,7 +214,12 @@ class ActiveSet:
 
     def query(self, j):
         """The Query entry j was inserted with."""
-        return self._queries[self._slot[j]]
+        return self._store.queries[self._slot[j]]
+
+    @property
+    def _X(self):
+        """The stored vectors as a d x capacity array, one column per slot."""
+        return self._store.full()
 
     def __len__(self):
         return self.n
@@ -141,9 +240,10 @@ class ActiveSet:
         columns of H^-1 are zero, so they drop out of every product.
         """
         hi = self._hi
-        X = self._X[:, :hi] if query.idx is None else self._X[query.idx, :hi]
-        col = dense_kernel_vector(X.T, self._self_raw[:hi], self._sq[:hi],
-                                  query.x, query.self_raw, query.sq, self.spec)
+        store = self._store
+        col = dense_kernel_vector(store.block(query, hi), store.self_raw[:hi],
+                                  store.sq[:hi], query.x, query.self_raw,
+                                  query.sq, self.spec)
         if self.kernel_mode == "multitask":
             col = col * self.model.inverse[self._tasks[:hi] - 1, query.task - 1]
         return col
@@ -221,7 +321,8 @@ class ActiveSet:
         else:
             slot = self._hi
             self._hi += 1
-        self._store(slot, query)
+        self._store.write(slot, query)
+        self._tasks[slot] = query.task
         self._slot[n] = slot
         self._times[n] = self._clock
         self._clock += 1
@@ -299,24 +400,6 @@ class ActiveSet:
 
     # -- maintenance ---------------------------------------------------
 
-    def _store(self, slot, query: Query):
-        """Write an entry's features into `slot`, clearing what it held."""
-        vec = self._X[:, slot]
-        if query.idx is None:
-            vec[:] = query.x
-        else:
-            old = self._queries[slot]
-            if old is not None:
-                if old.idx is None:
-                    vec[:] = 0.0
-                else:
-                    vec[old.idx] = 0.0
-            vec[query.idx] = query.x
-        self._self_raw[slot] = query.self_raw
-        self._sq[slot] = query.sq
-        self._tasks[slot] = query.task
-        self._queries[slot] = query
-
     def _settle(self):
         """Fold a pending insert's border into H^-1."""
         if self._border is not None:
@@ -327,7 +410,8 @@ class ActiveSet:
     def _rebuild_inverse(self):
         n = self.n
         slots = self._slot[:n]
-        G = dense_gram(self._X[:, slots].T, self._self_raw[slots], self._sq[slots],
+        store = self._store
+        G = dense_gram(store.X[:, slots], store.self_raw[slots], store.sq[slots],
                        self.spec)
         if self.kernel_mode == "multitask":
             Mi = self.model.inverse
@@ -344,28 +428,11 @@ class ActiveSet:
         """Double the capacity, but stop at budget + 1 (one forced insert
         past the budget), so the full-budget H^-1 is one contiguous block."""
         new_cap = max(self._cap + 1, min(2 * self._cap, self.budget + 1))
-        self._X = self._resize2(self._X, (self.dim, new_cap))
-        for name in ("_self_raw", "_sq", "_tasks", "_slot", "_times"):
-            arr = getattr(self, name)
-            setattr(self, name, self._resize1(arr, new_cap))
-        self._queries.extend([None] * (new_cap - self._cap))
-        if self._W.ndim == 2:
-            self._W = self._resize2(self._W, (self._W.shape[0], new_cap))
-        else:
-            self._W = self._resize1(self._W, new_cap)
+        self._store.resize(new_cap)
+        for name in ("_tasks", "_slot", "_times"):
+            setattr(self, name, _grown(getattr(self, name), new_cap))
+        self._W = _grown(self._W, self._W.shape[:-1] + (new_cap,))
         if self.maintain_inverse:
-            self._H = self._resize2(self._H, (new_cap, new_cap))
-            self._Hinv = self._resize2(self._Hinv, (new_cap, new_cap))
+            self._H = _grown(self._H, (new_cap, new_cap))
+            self._Hinv = _grown(self._Hinv, (new_cap, new_cap))
         self._cap = new_cap
-
-    @staticmethod
-    def _resize1(arr, n):
-        out = np.zeros(n, dtype=arr.dtype)
-        out[:arr.shape[0]] = arr
-        return out
-
-    @staticmethod
-    def _resize2(arr, shape):
-        out = np.zeros(shape, dtype=arr.dtype)
-        out[:arr.shape[0], :arr.shape[1]] = arr
-        return out

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DatasetStream
+from .errors import TaskOutOfRange
 from .graph import TaskGraph
 from .kernels import KernelSpec, make_queries
 from .learners import LearnerConfig, make_learner
@@ -43,6 +44,9 @@ def run_stream(stream: DatasetStream, config: LearnerConfig,
     sparse stream is never densified."""
     if not stream.binary:
         raise ValueError("stream still has real labels; binarize first")
+    if stream.k > config.graph.k:
+        raise TaskOutOfRange("the stream has %d tasks but the graph has only %d"
+                             % (stream.k, config.graph.k))
     learner = make_learner(config, dim=stream.d)
     metrics = StreamMetrics(per_task=np.zeros((config.graph.k, 4), dtype=np.int64))
     queries = make_queries(stream.instances, stream.d, config.kernel)

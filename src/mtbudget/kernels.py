@@ -150,13 +150,13 @@ def mt_kernel(a: MultitaskInstance, b: MultitaskInstance,
     return float(m.inverse[a.task - 1, b.task - 1]) * base_kernel(a.x, b.x, spec)
 
 
-# -- fast paths: stored vectors are dense, queries dense or sparse --
+# -- fast paths: stored vectors feature-major, queries dense or sparse --
 
 # A stream whose rows fill less than this fraction of the d features on
 # average keeps its queries sparse (see `make_queries`). Measured on 2
 # cores, d=200-5000, B=65-700: the column gather beats the dense column
-# below a density of about 0.2 on ActiveSet's feature-major store, and
-# below 0.05-0.15 on the Perceptron battery's row-major store.
+# below a density of about 0.2 on the feature-major slot store that
+# ActiveSet and the Perceptron battery share.
 SPARSE_DENSITY = 0.1
 
 
@@ -218,12 +218,14 @@ def dense_kernel_vector(X: np.ndarray, self_raw: np.ndarray,
                         sq_norms: np.ndarray, q: np.ndarray,
                         q_self: float, q_sq: float,
                         spec: KernelSpec) -> np.ndarray:
-    """Kernel of dense query q against every row of X, honoring normalize.
+    """Kernel of dense query q against every column of X, honoring normalize.
 
-    `self_raw` and `sq_norms` are the per-row raw self kernels and squared
-    norms cached at insertion time; `q_self`, `q_sq` the query counterparts.
+    X is feature-major, one column per stored vector, as a SlotStore holds
+    them. `self_raw` and `sq_norms` are the per-column raw self kernels and
+    squared norms cached at insertion time; `q_self`, `q_sq` the query
+    counterparts.
     """
-    dots = X @ q
+    dots = q @ X
     if spec.kind == "linear":
         raw = dots
     elif spec.kind == "polynomial":
@@ -238,8 +240,8 @@ def dense_kernel_vector(X: np.ndarray, self_raw: np.ndarray,
 
 def dense_gram(X: np.ndarray, self_raw: np.ndarray, sq_norms: np.ndarray,
                spec: KernelSpec) -> np.ndarray:
-    """Full base-kernel Gram matrix of the rows of X."""
-    dots = X @ X.T
+    """Full base-kernel Gram matrix of the columns of X (feature-major)."""
+    dots = X.T @ X
     if spec.kind == "linear":
         raw = dots
     elif spec.kind == "polynomial":

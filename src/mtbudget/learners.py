@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .active_set import ActiveSet
+from .active_set import ActiveSet, SlotStore
 from .errors import DomainError, NoFeasibleShrink
 from .graph import TaskGraph, build_interaction_model
 from .kernels import KernelSpec, Query, dense_kernel_vector
@@ -197,18 +197,19 @@ class MTForgetron(_KernelLearner):
 
 
 class PerceptronBattery:
-    """k independent kernel Perceptrons, no budget; the baseline yardstick."""
+    """k independent kernel Perceptrons, no budget; the baseline yardstick.
+
+    Each task's support vectors fill the slots of its own SlotStore, the
+    store ActiveSet uses, in order and never evicted.
+    """
 
     def __init__(self, config: LearnerConfig, dim: int):
         self.config = config
         self.spec = config.kernel
-        self.dim = dim
         self.k = config.graph.k
-        self._X = [np.zeros((0, dim)) for _ in range(self.k)]
-        self._w = [np.zeros(0) for _ in range(self.k)]
-        self._self_raw = [np.zeros(0) for _ in range(self.k)]
-        self._sq = [np.zeros(0) for _ in range(self.k)]
-        self._count = [0 for _ in range(self.k)]
+        self._stores = [SlotStore(dim, 16) for _ in range(self.k)]
+        self._w = [np.zeros(16) for _ in range(self.k)]
+        self._count = [0] * self.k
         self.mistakes = 0
 
     def step(self, query: Query, y: int) -> StepOutcome:
@@ -216,9 +217,10 @@ class PerceptronBattery:
         n = self._count[t]
         score = 0.0
         if n:
-            X = self._X[t][:n] if query.idx is None else self._X[t][:n, query.idx]
-            base = dense_kernel_vector(X, self._self_raw[t][:n], self._sq[t][:n],
-                                       query.x, query.self_raw, query.sq, self.spec)
+            store = self._stores[t]
+            base = dense_kernel_vector(store.block(query, n), store.self_raw[:n],
+                                       store.sq[:n], query.x, query.self_raw,
+                                       query.sq, self.spec)
             score = float(np.dot(self._w[t][:n], base))
         mistake = y * score <= 0
         action = "none"
@@ -226,28 +228,16 @@ class PerceptronBattery:
             self.mistakes += 1
             self._append(t, n, query, y)
             action = "insert"
-        return StepOutcome(prediction=1 if score >= 0 else -1,
-                           score=score, mistake=mistake, action=action)
+        # positional: keyword arguments cost about 0.3 µs more per step
+        return StepOutcome(1 if score >= 0 else -1, score, mistake, action)
 
     def _append(self, t, n, query, y):
-        if n >= self._X[t].shape[0]:
-            new_cap = max(16, 2 * self._X[t].shape[0])
-            for store, blank in ((self._X, np.zeros((new_cap, self.dim))),
-                                 (self._w, np.zeros(new_cap)),
-                                 (self._self_raw, np.zeros(new_cap)),
-                                 (self._sq, np.zeros(new_cap))):
-                blank[:n] = store[t][:n]
-                store[t] = blank
-        # Row-major, unlike ActiveSet's store: the battery grows by doubling,
-        # and copying a feature-major store touches every page of the new
-        # d x 2n array, which cost more than the faster gather saved.
-        if query.idx is None:
-            self._X[t][n] = query.x
-        else:
-            self._X[t][n, query.idx] = query.x
+        store = self._stores[t]
+        if n == self._w[t].size:     # the weights share the store's capacity
+            store.resize(2 * n)
+            self._w[t] = np.concatenate((self._w[t], np.zeros(n)))
+        store.write(n, query)
         self._w[t][n] = y
-        self._self_raw[t][n] = query.self_raw
-        self._sq[t][n] = query.sq
         self._count[t] = n + 1
 
     @property

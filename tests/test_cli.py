@@ -88,6 +88,13 @@ class TestRun:
         assert code == 1
         assert "example 1 (task 1)" in capsys.readouterr().err
 
+    def test_graph_with_fewer_tasks_fails_cleanly(self, capsys):
+        code = main(["run", "--synth", "k=3,d=5,n=50,seed=1", "--k", "2",
+                     "--algo", "mtrbp", "--graph", "complete", "--budget", "5"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: the stream has 3 tasks but the graph has only 2\n")
+
     def test_missing_stream_source_fails(self, capsys):
         code = main(["run", "--algo", "mtrbp", "--graph", "complete",
                      "--budget", "10"])
@@ -107,6 +114,12 @@ class TestBaseline:
         doc = json.loads(out)
         assert doc["algo"] == "perceptron_battery"
         assert doc["mistakes"] == doc["final_active"] > 0
+
+    def test_fewer_tasks_than_the_stream_fails_cleanly(self, capsys):
+        code = main(["baseline", "--synth", "k=3,d=5,n=50,seed=1", "--k", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: the stream has 3 tasks but the graph has only 2\n")
 
     def test_unnormalized_kernel_rejected(self, capsys):
         code = main(["baseline", "--synth", SYNTH, "--kernel", "linear"])

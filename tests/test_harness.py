@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mtbudget.data import DatasetStream, generate_synthetic
+from mtbudget.errors import TaskOutOfRange
 from mtbudget.graph import TaskGraph
 from mtbudget.harness import (StreamMetrics, baseline_active_size,
                               resolve_budget, run_stream)
@@ -112,6 +113,15 @@ class TestBinaryLabels:
                             kernel=SPEC)
         with pytest.raises(ValueError, match="binarize"):
             run_stream(real, cfg)
+
+
+class TestTaskCount:
+    @pytest.mark.parametrize("algo", ["mtbprj", "perceptron_battery"])
+    def test_graph_with_fewer_tasks_rejected(self, algo):
+        stream = small_stream(n=60, k=3)
+        cfg = LearnerConfig(algo, TaskGraph.edgeless(2), budget=5, kernel=SPEC)
+        with pytest.raises(TaskOutOfRange, match="3 tasks .* only 2"):
+            run_stream(stream, cfg)
 
 
 class TestEpochs:

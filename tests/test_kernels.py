@@ -146,7 +146,7 @@ class TestDenseFastPaths:
         q = rng.normal(size=5)
         self_raw = np.array([dense_self_raw(r, spec) for r in rows])
         sq = np.array([float(r @ r) for r in rows])
-        got = dense_kernel_vector(rows, self_raw, sq, q, dense_self_raw(q, spec),
+        got = dense_kernel_vector(rows.T, self_raw, sq, q, dense_self_raw(q, spec),
                                   float(q @ q), spec)
         for i, r in enumerate(rows):
             expect = base_kernel(SparseVector.from_dense(r),
@@ -160,7 +160,7 @@ class TestDenseFastPaths:
         rows = rng.normal(size=(5, 4))
         self_raw = np.array([dense_self_raw(r, spec) for r in rows])
         sq = np.array([float(r @ r) for r in rows])
-        G = dense_gram(rows, self_raw, sq, spec)
+        G = dense_gram(rows.T, self_raw, sq, spec)
         for i in range(5):
             for j in range(5):
                 expect = base_kernel(SparseVector.from_dense(rows[i]),

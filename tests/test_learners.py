@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from mtbudget import active_set as active_set_module
+from mtbudget import learners as learners_module
 from mtbudget.active_set import ActiveSet
 from mtbudget.data import generate_synthetic
 from mtbudget.errors import DomainError
 from mtbudget.graph import TaskGraph, build_interaction_model
-from mtbudget.kernels import KernelSpec, MultitaskInstance, SparseVector, mt_kernel
-from mtbudget.learners import (DEFICIT_FRAC, LearnerConfig, compute_phi,
-                               make_learner, mtforg_bound, mtrbp_bound)
+from mtbudget.kernels import (KernelSpec, MultitaskInstance, Query, SparseVector,
+                              base_kernel, dense_self_raw, mt_kernel)
+from mtbudget.learners import (DEFICIT_FRAC, LearnerConfig, PerceptronBattery,
+                               compute_phi, make_learner, mtforg_bound,
+                               mtrbp_bound)
 from support import instance_of, labelled
 
 SPEC = KernelSpec("linear", normalize=True)
@@ -233,6 +236,36 @@ def test_one_kernel_column_per_predict_and_projection(algo, monkeypatch):
     assert columns["projection"][-1] == (1, False)
 
 
+def test_one_kernel_column_per_battery_predict(monkeypatch):
+    """The battery's columns go through `learners.dense_kernel_vector`, where
+    the benchmark's tracer counts them: one per predict of a task that has
+    support vectors, none per append."""
+    calls = [0]
+    real_kernel_vector = learners_module.dense_kernel_vector
+
+    def counting(*args):
+        calls[0] += 1
+        return real_kernel_vector(*args)
+    monkeypatch.setattr(learners_module, "dense_kernel_vector", counting)
+    appends = []
+    real_append = PerceptronBattery._append
+
+    def counted_append(self, *args):
+        before = calls[0]
+        real_append(self, *args)
+        appends.append(calls[0] - before)
+    monkeypatch.setattr(PerceptronBattery, "_append", counted_append)
+
+    learner = make_learner(cfg("perceptron_battery", TaskGraph.edgeless(3)), 8)
+    mistakes = [0, 0, 0]
+    for query, y in rand_examples(np.random.default_rng(4), 300):
+        before = calls[0]
+        out = learner.step(query, y)
+        assert calls[0] - before == (1 if mistakes[query.task - 1] else 0)
+        mistakes[query.task - 1] += out.mistake
+    assert len(appends) == learner.mistakes > 3 and not any(appends)
+
+
 class TestMtrbp:
     def test_random_eviction_replays_rng(self):
         rng = np.random.default_rng(6)
@@ -365,6 +398,44 @@ class TestBattery:
             a, b = battery.step(*e), rbp.step(*e)
             assert a.mistake == b.mistake
             assert a.score == pytest.approx(b.score, abs=1e-9)
+
+    @staticmethod
+    def check_against_brute_force(spec, d, dense_every=0, n=240, k=3, nnz=30):
+        """Each score is the sum of y * base_kernel over the task's earlier
+        mistakes. Rows draw nnz of 200 feature ids spread over 1..d, so
+        stored vectors overlap; every `dense_every`-th query is dense."""
+        rng = np.random.default_rng(21)
+        pool = rng.choice(d, 200, replace=False) + 1
+        learner = make_learner(cfg("perceptron_battery", TaskGraph.edgeless(k),
+                                   kernel=spec), d)
+        made = [[] for _ in range(k)]
+        for i in range(n):
+            x = SparseVector(np.sort(rng.choice(pool, nnz, replace=False)),
+                             rng.random(nnz))
+            inst, y = MultitaskInstance(x, i % k + 1), int(rng.choice((-1, 1)))
+            if dense_every and i % dense_every == 0:
+                dense = x.to_dense(d)
+                query = Query(None, dense, dense_self_raw(dense, spec),
+                              float(dense @ dense), inst.task)
+            else:
+                (query, _), = labelled([inst], [y], d, spec)
+                assert query.idx is not None
+            want = sum(yj * base_kernel(xj, x, spec) for xj, yj in made[i % k])
+            out = learner.step(query, y)
+            assert abs(out.score - want) <= 1e-9
+            if abs(want) > 1e-9:
+                assert out.mistake == (y * want <= 0)
+            if out.mistake:
+                made[i % k].append((x, y))
+        assert learner.mistakes == learner.active_size == sum(map(len, made))
+        assert min(map(len, made)) >= 10
+
+    @pytest.mark.parametrize("kernel", ["linear:norm", "poly:2:1:norm", "gauss:0.5"])
+    def test_sparse_high_dimensional_matches_brute_force(self, kernel):
+        self.check_against_brute_force(KernelSpec.parse(kernel), 10 ** 6)
+
+    def test_sparse_and_dense_queries_in_one_battery(self):
+        self.check_against_brute_force(SPEC, 3000, dense_every=3)
 
 
 class TestBudgetRespected:

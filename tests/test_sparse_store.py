@@ -219,3 +219,47 @@ def test_harness_matches_stepping_without_queries(algo, monkeypatch):
     assert metrics.mistakes == plain.mistakes > 0
     if algo != "perceptron_battery":
         assert any(action.startswith("insert_evict") for _, action in want)
+
+
+class TestCompactRows:
+    """At d = 10^6 a store holds a float row only for the features its
+    vectors have used (rows grow by doubling, so at most 1 + 2F are
+    allocated for F features), never one per feature of d."""
+
+    DIM = 10 ** 6
+
+    def sparse_queries(self, n, seed):
+        rng = np.random.default_rng(seed)
+        insts = [MultitaskInstance(
+            SparseVector(np.sort(rng.choice(self.DIM, NNZ, replace=False)) + 1,
+                         rng.random(NNZ)), i % K + 1) for i in range(n)]
+        return make_queries(insts, self.DIM, SPECS["linear"])
+
+    @staticmethod
+    def check_rows(store, stored):
+        features = len(set().union(*(q.idx.tolist() for q in stored)))
+        assert store.rows == 1 + features
+        assert store.X.shape[0] <= 1 + 2 * features
+
+    def test_active_set(self):
+        s = ActiveSet(16, self.DIM, SPECS["linear"], MODEL)
+        rng = np.random.default_rng(5)
+        queries = self.sparse_queries(60, 5)
+        for q in queries:
+            full = len(s) >= s.budget
+            s.insert(q, 1.0, force=full)
+            if full:
+                s.evict(int(rng.integers(len(s))))
+        self.check_rows(s._store, queries)
+
+    def test_battery(self):
+        config = LearnerConfig("perceptron_battery", TaskGraph.edgeless(K),
+                               kernel=SPECS["linear"])
+        battery = make_learner(config, self.DIM)
+        stored = [[] for _ in range(K)]
+        for q in self.sparse_queries(60, 6):
+            if battery.step(q, 1).mistake:
+                stored[q.task - 1].append(q)
+        assert all(stored)
+        for store, queries in zip(battery._stores, stored):
+            self.check_rows(store, queries)
