@@ -1,20 +1,28 @@
-"""Budgeted active set with an incrementally maintained Gram inverse, and
-the slot store that holds stored vectors for it and for the Perceptron
-battery.
+"""Budgeted active set with an incrementally maintained inverse H^-1 of its
+Gram matrix H, and the slot store that holds stored vectors for it and
+for the Perceptron battery.
 
 Prediction, projection, insertion and eviction all run in O(B^2) or
 better once the inverse is current: insertion borders H^-1 with the
 Schur complement of the new column, eviction applies the rank-1
-downdate of the deleted row/column.
+downdate of the deleted row/column. H itself is never kept.
 
-Stored feature vectors, and the rows and columns of H and H^-1, sit in
-physical slots that never move; a logical-order slot map gives each
-entry's slot. Eviction frees a slot and zeroes its row and column of
-H^-1, shifting only the O(B) per-entry arrays; the next insert reuses the
-slot. The vectors live in a SlotStore: feature-major, one column per
-slot, with a row only for the features some stored vector has used, so a
-sparse query's kernel column reads one short contiguous run per nonzero
-feature and memory is O(d + F * capacity) for F distinct stored features.
+One numerical floor, _SCHUR_MIN, guards the inverse. The Schur complement
+of an insert is the squared residual of projecting the query onto the
+span. A projection whose squared residual is below the floor reports a
+residual of 0: the query is in the span, so any eta >= 0 projects it. An
+insert whose Schur complement is below the floor raises NumericalFailure
+and leaves the set unchanged. A learner inserts only when the residual of
+the projection just before is above eta, so it never hits the floor.
+
+Stored feature vectors, and the rows and columns of H^-1, sit in physical
+slots that never move; a logical-order slot map gives each entry's slot.
+Eviction frees a slot and zeroes its row and column of H^-1, shifting
+only the O(B) per-entry arrays; the next insert reuses the slot. The
+vectors live in a SlotStore: feature-major, one column per slot, with a
+row only for the features some stored vector has used, so a sparse
+query's kernel column reads one short contiguous run per nonzero feature
+and memory is O(d + F * capacity) for F distinct stored features.
 
 An insert leaves its border of H^-1 pending, as the bordering vector a
 (H^-1 times the new column, with -1 at the new slot) and the Schur
@@ -29,11 +37,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetFull
+from .errors import BudgetFull, NumericalFailure
 from .graph import InteractionModel
-from .kernels import KernelSpec, Query, dense_gram, dense_kernel_vector
+from .kernels import KernelSpec, Query, dense_kernel_vector
 
-RIDGE = 1e-10
 _SCHUR_MIN = 1e-10
 
 
@@ -101,15 +108,6 @@ class SlotStore:
         self.sq = _grown(self.sq, cap)
         self.queries.extend([None] * (cap - len(self.queries)))
 
-    def full(self):
-        """The stored vectors as a d x capacity array (a copy unless dense)."""
-        if self.dense:
-            return self.X
-        out = np.zeros((self.dim, self.X.shape[1]))
-        feats = np.flatnonzero(self.row)
-        out[feats] = self.X[self.row[feats]]
-        return out
-
     def _rows_of(self, idx):
         """Rows of the features `idx`, given rows first if they have none."""
         rows = self.row.take(idx)
@@ -124,7 +122,10 @@ class SlotStore:
         return self.row[idx]
 
     def _densify(self):
-        self.X = self.full()
+        X = np.zeros((self.dim, self.X.shape[1]))
+        feats = np.flatnonzero(self.row)
+        X[feats] = self.X[self.row[feats]]
+        self.X = X
         self.row = np.arange(self.dim)
         self.rows = self.dim
         self.dense = True
@@ -154,12 +155,11 @@ class ActiveSet:
         self.model = model
         self.kernel_mode = kernel_mode
         self.maintain_inverse = maintain_inverse
-        self.regularized = False
         self.n = 0
         self._cap = min(16, self.budget + 1)
         # Per slot, never moved: the stored vector (with its self kernel,
         # squared norm and Query), its task, and the slot's row and column
-        # of H and H^-1.
+        # of H^-1.
         self._store = SlotStore(self.dim, self._cap)
         self._tasks = np.zeros(self._cap, dtype=np.int64)
         self._hi = 0        # slots ever used
@@ -173,12 +173,7 @@ class ActiveSet:
             self._W = np.zeros((model.k, self._cap))
         else:
             self._W = np.zeros(self._cap)
-        if maintain_inverse:
-            self._H = np.zeros((self._cap, self._cap))
-            self._Hinv = np.zeros((self._cap, self._cap))
-        else:
-            self._H = None
-            self._Hinv = None
+        self._Hinv = np.zeros((self._cap, self._cap)) if maintain_inverse else None
         self._border = None     # (a, delta) of an insert not yet in _Hinv
         self._last = None       # the last predict's or projection's terms
 
@@ -200,12 +195,6 @@ class ActiveSet:
         return self._W[:self.n]
 
     @property
-    def gram(self):
-        """Copy of H in entry order."""
-        slots = self._slot[:self.n]
-        return self._H[np.ix_(slots, slots)]
-
-    @property
     def gram_inv(self):
         """Copy of H^-1 in entry order."""
         self._settle()
@@ -215,11 +204,6 @@ class ActiveSet:
     def query(self, j):
         """The Query entry j was inserted with."""
         return self._store.queries[self._slot[j]]
-
-    @property
-    def _X(self):
-        """The stored vectors as a d x capacity array, one column per slot."""
-        return self._store.full()
 
     def __len__(self):
         return self.n
@@ -249,31 +233,27 @@ class ActiveSet:
         return col
 
     def _column_terms(self, query: Query):
-        """The query's slot-order kernel column, H^-1 times it, and k_qq.
+        """alpha = H^-1 times the query's slot-order kernel column, and the
+        Schur complement delta = k_qq - column . alpha, which is the squared
+        residual of projecting the query onto the span.
 
         A projection right after the predict of the same query reuses its
-        column, and an insert right after the projection reuses all three:
+        column, and an insert right after the projection reuses both terms:
         every insert and evict clears them.
         """
         last = self._last if self._last and self._last[0] is query else None
         if last and last[2] is not None:
-            return last[1:]
+            return last[2:]
         self._settle()
-        kqq = self.self_kernel(query)
         hi = self._hi
         if self.n == 0:
             col = alpha = np.zeros(hi)
         else:
             col = last[1] if last else self._slot_column(query)
             alpha = self._Hinv[:hi, :hi] @ col
-        self._last = (query, col, alpha, kqq)
-        return col, alpha, kqq
-
-    def kernel_column(self, query: Query):
-        """Configured-kernel values of the query against all stored entries."""
-        if self.n == 0:
-            return np.zeros(0)
-        return self._logical(self._slot_column(query))
+        delta = self.self_kernel(query) - float(np.dot(col, alpha))
+        self._last = (query, col, alpha, delta)
+        return alpha, delta
 
     def self_kernel(self, query: Query):
         """Configured kernel of the query with itself (M_qq after
@@ -301,18 +281,23 @@ class ActiveSet:
 
     def projection(self, query: Query):
         """(alphas, residual norm) of the query's kernel function onto the
-        span."""
-        col, alpha, kqq = self._column_terms(query)
-        resid_sq = kqq - float(np.dot(col, alpha))
-        return self._logical(alpha), float(np.sqrt(max(resid_sq, 0.0)))
+        span; the residual is 0 when its square is below the Schur floor."""
+        alpha, resid_sq = self._column_terms(query)
+        resid = 0.0 if resid_sq < _SCHUR_MIN else float(np.sqrt(resid_sq))
+        return self._logical(alpha), resid
 
     def insert(self, query: Query, weight, force=False):
         """Append the query; `weight` is a scalar or, in single mode, a
-        k-column."""
+        k-column. Raises NumericalFailure, leaving the set unchanged, when
+        the query's Schur complement is below the floor."""
         if self.n >= self.budget and not force:
             raise BudgetFull("active set already holds %d entries" % self.n)
         if self.maintain_inverse:
-            col, alpha, kqq = self._column_terms(query)
+            alpha, delta = self._column_terms(query)
+            if delta < _SCHUR_MIN:
+                raise NumericalFailure(
+                    "Schur complement %.3g of the insert is below the floor "
+                    "%g: the query is already in the span" % (delta, _SCHUR_MIN))
         n = self.n
         if n + 1 > self._cap:
             self._grow()
@@ -333,16 +318,8 @@ class ActiveSet:
         self.n = n + 1
         self._last = None
         if self.maintain_inverse:
-            m = col.size
-            self._H[slot, :m] = col
-            self._H[:m, slot] = col
-            self._H[slot, slot] = kqq
-            delta = kqq - float(np.dot(col, alpha))
-            if delta < _SCHUR_MIN:
-                self._rebuild_inverse()
-                return
             a = np.zeros(self._hi)
-            a[:m] = alpha
+            a[:alpha.size] = alpha
             a[slot] = -1.0
             self._border = (a, delta)
 
@@ -407,23 +384,6 @@ class ActiveSet:
             self._border = None
             self._Hinv[:self._hi, :self._hi] += np.outer(a, a) / delta
 
-    def _rebuild_inverse(self):
-        n = self.n
-        slots = self._slot[:n]
-        store = self._store
-        G = dense_gram(store.X[:, slots], store.self_raw[slots], store.sq[slots],
-                       self.spec)
-        if self.kernel_mode == "multitask":
-            Mi = self.model.inverse
-            t = self._tasks[slots] - 1
-            G = G * Mi[np.ix_(t, t)]
-        G = G + RIDGE * np.eye(n)
-        block = np.ix_(slots, slots)
-        self._H[block] = G
-        self._Hinv[:self._hi, :self._hi] = 0.0
-        self._Hinv[block] = np.linalg.inv(G)
-        self.regularized = True
-
     def _grow(self):
         """Double the capacity, but stop at budget + 1 (one forced insert
         past the budget), so the full-budget H^-1 is one contiguous block."""
@@ -433,6 +393,5 @@ class ActiveSet:
             setattr(self, name, _grown(getattr(self, name), new_cap))
         self._W = _grown(self._W, self._W.shape[:-1] + (new_cap,))
         if self.maintain_inverse:
-            self._H = _grown(self._H, (new_cap, new_cap))
             self._Hinv = _grown(self._Hinv, (new_cap, new_cap))
         self._cap = new_cap

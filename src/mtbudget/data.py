@@ -44,13 +44,6 @@ class ReferenceTaskSet:
     def sequence(self):
         return [self.weights] + [w for _, w in self.shifts]
 
-    def at_step(self, step):
-        current = self.weights
-        for s, w in self.shifts:
-            if step >= s:
-                current = w
-        return current
-
 
 def parse_dataset(path, k=None) -> DatasetStream:
     """Load an mtsvm file; validates tasks against k when given."""

@@ -2,7 +2,9 @@
 
 
 class NumericalFailure(RuntimeError):
-    """A dense solve produced a residual above the allowed tolerance."""
+    """A computation left its numerical tolerance: a dense solve's residual
+    above the allowed tolerance, or an active-set insert whose Schur
+    complement is below the floor (the query is already in the span)."""
 
 
 class DisconnectedGraph(ValueError):

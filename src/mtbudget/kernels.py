@@ -236,20 +236,3 @@ def dense_kernel_vector(X: np.ndarray, self_raw: np.ndarray,
     if not spec.normalize:
         return raw
     return raw / np.sqrt(self_raw * q_self)
-
-
-def dense_gram(X: np.ndarray, self_raw: np.ndarray, sq_norms: np.ndarray,
-               spec: KernelSpec) -> np.ndarray:
-    """Full base-kernel Gram matrix of the columns of X (feature-major)."""
-    dots = X.T @ X
-    if spec.kind == "linear":
-        raw = dots
-    elif spec.kind == "polynomial":
-        raw = (dots + spec.offset) ** spec.degree
-    else:
-        sq_dist = np.maximum(sq_norms[:, None] + sq_norms[None, :] - 2.0 * dots, 0.0)
-        raw = np.exp(-spec.gamma * sq_dist)
-    if not spec.normalize:
-        return raw
-    scale = np.sqrt(self_raw)
-    return raw / (scale[:, None] * scale[None, :])

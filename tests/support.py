@@ -4,7 +4,11 @@ Learners and the active set take `kernels.Query` objects only. `labelled`
 builds the (query, label) pairs a test steps a learner on, the way
 `run_stream` builds them; `instance_of` turns a stored query back into the
 instance the brute-force `mt_kernel` / `base_kernel` oracles take.
+`kernel_column` and `stored_vectors` read an active set's kernel column and
+its store's vectors, which the package itself never needs whole.
 """
+
+import numpy as np
 
 from mtbudget.kernels import MultitaskInstance, SparseVector, make_queries
 
@@ -27,3 +31,21 @@ def instance_of(query):
     else:
         x = SparseVector(query.idx + 1, query.x)
     return MultitaskInstance(x, query.task)
+
+
+def kernel_column(s, query):
+    """Configured-kernel values of the query against an ActiveSet's
+    entries, in entry order."""
+    if len(s) == 0:
+        return np.zeros(0)
+    return s._logical(s._slot_column(query))
+
+
+def stored_vectors(store):
+    """A SlotStore's vectors as a d x capacity array, one column per slot."""
+    if store.dense:
+        return store.X
+    out = np.zeros((store.dim, store.X.shape[1]))
+    feats = np.flatnonzero(store.row)
+    out[feats] = store.X[store.row[feats]]
+    return out

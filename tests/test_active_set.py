@@ -3,8 +3,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mtbudget.active_set import RIDGE, ActiveSet
-from mtbudget.errors import BudgetFull
+from mtbudget.active_set import ActiveSet
+from mtbudget.errors import BudgetFull, NumericalFailure
 from mtbudget.graph import TaskGraph, build_interaction_model
 from mtbudget.kernels import (KernelSpec, MultitaskInstance, SparseVector,
                               base_kernel, mt_kernel)
@@ -38,6 +38,24 @@ def oracle(s, a, b):
 def dense_gram_oracle(s):
     entries = [s.query(j) for j in range(len(s))]
     return np.array([[oracle(s, a, b) for b in entries] for a in entries])
+
+
+def inverse_error(s, G=None):
+    """max |G H^-1 - I| of the set's inverse against the oracle Gram G."""
+    G = dense_gram_oracle(s) if G is None else G
+    return np.max(np.abs(G @ s.gram_inv - np.eye(len(s))))
+
+
+def near_twin(rng, q, resid_sq=4e-10, spec=SPEC):
+    """A query of q's task whose squared residual against q alone is
+    about `resid_sq`: just above the Schur floor of 1e-10 by default."""
+    x = instance_of(q).x.to_dense(q.x.size)
+    u = rng.normal(size=x.size)
+    u -= (u @ x) / (x @ x) * x
+    tilt = np.sqrt(resid_sq / MODEL.inverse[q.task - 1, q.task - 1])
+    u *= np.linalg.norm(x) * np.tan(np.arcsin(tilt)) / np.linalg.norm(u)
+    return query_of(MultitaskInstance(SparseVector.from_dense(x + u), q.task),
+                    x.size, spec)
 
 
 class TestPredict:
@@ -128,7 +146,7 @@ class TestInsert:
         q = rand_query(rng)
         s.insert(q, 1.0)
         kqq = oracle(s, q, q)
-        assert s.gram[0, 0] == pytest.approx(kqq)
+        assert (dense_gram_oracle(s) @ s.gram_inv)[0, 0] == pytest.approx(1.0)
         assert s.gram_inv[0, 0] == pytest.approx(1.0 / kqq)
 
     def test_budget_full_raises(self):
@@ -141,14 +159,20 @@ class TestInsert:
         s.insert(rand_query(rng), 1.0, force=True)  # provisional slot
         assert len(s) == 3
 
-    def test_near_duplicate_triggers_ridge(self):
+    def test_duplicate_is_refused_and_leaves_the_set_unchanged(self):
         s = make_set()
         rng = np.random.default_rng(6)
-        q = rand_query(rng)
+        q, other = rand_query(rng), rand_query(rng)
         s.insert(q, 1.0)
-        s.insert(q, -1.0)
-        assert s.regularized
-        assert np.max(np.abs(s.gram @ s.gram_inv - np.eye(2))) <= 1e-6
+        s.insert(other, 0.5)
+        before = (s.gram_inv, s.weights.copy(), s.leave_one_out_residuals())
+        with pytest.raises(NumericalFailure, match="below the floor"):
+            s.insert(q, -1.0)
+        assert len(s) == 2 and s.query(0) is q and s.query(1) is other
+        for got, want in zip((s.gram_inv, s.weights, s.leave_one_out_residuals()),
+                             before):
+            assert np.array_equal(got, want)
+        assert inverse_error(s) <= 1e-6
 
     def test_orthogonal_block(self):
         s = make_set()
@@ -172,7 +196,7 @@ class TestInsert:
         # an equal query of another task is another query
         s.insert(q._replace(task=q.task % 3 + 1), 1.0)
         G = dense_gram_oracle(s)
-        assert np.max(np.abs(s.gram - G)) <= 1e-12
+        assert inverse_error(s, G) <= 1e-12
         assert np.max(np.abs(s.gram_inv - np.linalg.inv(G))) <= 1e-9
 
 
@@ -182,7 +206,7 @@ class TestLeaveOneOut:
         rng = np.random.default_rng(7)
         q = rand_query(rng)
         s.insert(q, 1.0)
-        s.insert(q, 1.0)
+        s.insert(near_twin(rng, q), 1.0)
         assert np.all(s.leave_one_out_residuals() <= 1e-4)
 
     def test_orthogonal_unit_entries(self):
@@ -220,7 +244,7 @@ class TestEvict:
         rng = np.random.default_rng(10)
         q = rand_query(rng)
         s.insert(q, 1.0)
-        s.insert(q, 1.0)
+        s.insert(near_twin(rng, q), 1.0)
         gammas = s.evict(0)
         assert gammas == pytest.approx([1.0], abs=1e-4)
 
@@ -248,12 +272,10 @@ class TestRandomizedMaintenance:
             else:
                 s.evict(int(rng.integers(len(s))))
             if len(s):
-                n = len(s)
-                assert np.max(np.abs(s.gram @ s.gram_inv - np.eye(n))) <= 1e-6
+                assert inverse_error(s) <= 1e-6
             assert len(s) <= 20
 
-        G = dense_gram_oracle(s)
-        assert np.max(np.abs(G - s.gram)) <= 1e-9
+        assert inverse_error(s) <= 1e-9
 
 
 # -- the deferred border of a full-budget insert ----------------------------
@@ -290,7 +312,7 @@ def check_loo(s):
 def check_inverse(s):
     G = dense_gram_oracle(s)
     assert np.max(np.abs(s.gram_inv - np.linalg.inv(G))) <= BORDER_TOL
-    assert np.max(np.abs(s.gram @ s.gram_inv - np.eye(len(s)))) <= BORDER_TOL
+    assert inverse_error(s, G) <= BORDER_TOL
 
 
 def check_projection(s, q):
@@ -320,8 +342,8 @@ class TestDeferredBorder:
     def test_full_budget_sequences_match_brute_force(self, ops, budget, mode, kernel):
         """Over-budget inserts leave H^-1's border pending until the
         eviction; the LOO residuals read it, and projections, gram_inv and
-        in-budget inserts fold it in first. Every figure must match a
-        brute-force inverse of the oracle Gram."""
+        in-budget inserts fold it in first. An exact duplicate is refused.
+        Every figure must match a brute-force inverse of the oracle Gram."""
         s = make_set(budget=budget, dim=16, mode=mode, spec=BORDER_SPECS[kernel])
 
         def weight(rng):
@@ -333,19 +355,18 @@ class TestDeferredBorder:
 
         for step, (op, reader, seed) in enumerate(ops):
             rng = np.random.default_rng((seed, step))   # no repeats across steps
-            if op in ("over", "duplicate"):
+            if op == "duplicate":
                 fill(rng)
-                if op == "duplicate":
-                    # an exact copy sits on the Schur floor: the inverse is
-                    # rebuilt with a ridge, so the run ends after checking it
-                    twin = int(rng.integers(budget))
-                    s.insert(s.query(twin), weight(rng), force=True)
-                    assert s.regularized
-                    assert np.max(np.abs(s.gram - dense_gram_oracle(s)
-                                         - RIDGE * np.eye(budget + 1))) <= BORDER_TOL
-                    assert s.leave_one_out_residuals()[[twin, budget]].max() <= 1e-4
-                    evict_and_check(s, twin)
-                    return
+                # an exact copy sits below the Schur floor: the set refuses
+                # it and stays as it was
+                twin = s.query(int(rng.integers(budget)))
+                with pytest.raises(NumericalFailure):
+                    s.insert(twin, weight(rng), force=True)
+                assert len(s) == budget
+                check_loo(s)
+                check_inverse(s)
+            elif op == "over":
+                fill(rng)
                 s.insert(rand_query(rng, d=16, spec=s.spec), weight(rng), force=True)
                 check_loo(s)
                 if reader == "project":

@@ -88,6 +88,14 @@ class TestRun:
         assert code == 1
         assert "example 1 (task 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eta", ["inf", "nan", "-0.5"])
+    def test_bad_eta_fails_cleanly(self, capsys, eta):
+        # an infinite eta never inserts and a NaN one never projects
+        code = main(["run", "--algo", "mtbprj", "--graph", "complete",
+                     "--budget", "20", "--synth", SYNTH, "--eta", eta])
+        assert code == 1
+        assert "error: eta must be finite and >= 0" in capsys.readouterr().err
+
     def test_graph_with_fewer_tasks_fails_cleanly(self, capsys):
         code = main(["run", "--synth", "k=3,d=5,n=50,seed=1", "--k", "2",
                      "--algo", "mtrbp", "--graph", "complete", "--budget", "5"])

@@ -4,7 +4,7 @@ import pytest
 from mtbudget.errors import ZeroNormInstance
 from mtbudget.graph import TaskGraph, build_interaction_model
 from mtbudget.kernels import (KernelSpec, MultitaskInstance, SparseVector,
-                              base_kernel, dense_gram, dense_kernel_vector,
+                              base_kernel, dense_kernel_vector,
                               dense_self_raw, mt_kernel)
 
 
@@ -152,17 +152,3 @@ class TestDenseFastPaths:
             expect = base_kernel(SparseVector.from_dense(r),
                                  SparseVector.from_dense(q), spec)
             assert got[i] == pytest.approx(expect, abs=1e-12)
-
-    @pytest.mark.parametrize("text", ["linear:norm", "poly:2:1:norm", "gauss:0.7"])
-    def test_gram_matches_base_kernel(self, text):
-        spec = KernelSpec.parse(text)
-        rng = np.random.default_rng(12)
-        rows = rng.normal(size=(5, 4))
-        self_raw = np.array([dense_self_raw(r, spec) for r in rows])
-        sq = np.array([float(r @ r) for r in rows])
-        G = dense_gram(rows.T, self_raw, sq, spec)
-        for i in range(5):
-            for j in range(5):
-                expect = base_kernel(SparseVector.from_dense(rows[i]),
-                                     SparseVector.from_dense(rows[j]), spec)
-                assert G[i, j] == pytest.approx(expect, abs=1e-12)

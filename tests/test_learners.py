@@ -53,6 +53,17 @@ def grid_phi(a, b, C):
     return float(chis[ok][-1]) if np.any(ok) else None
 
 
+class TestLearnerConfig:
+    @pytest.mark.parametrize("eta", [-0.01, float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("algo", ["mtbprj", "mtbprj2", "mtrbp"])
+    def test_eta_must_be_finite_and_nonnegative(self, algo, eta):
+        with pytest.raises(ValueError, match="eta must be finite and >= 0"):
+            cfg(algo, TaskGraph.complete(3), eta=eta)
+
+    def test_eta_zero_is_allowed(self):
+        assert cfg("mtbprj", TaskGraph.complete(3), eta=0.0).eta == 0.0
+
+
 class TestMtbprj:
     def test_correct_prediction_no_change(self):
         g = TaskGraph.complete(3)
@@ -199,6 +210,41 @@ class TestMtbprj2:
             actions.add(learner.step(*e).action)
             assert len(learner.active_set) <= 3
         assert "insert_evict" in actions
+
+
+@pytest.mark.parametrize("budget", [6, 400])
+@pytest.mark.parametrize("algo", ["mtbprj", "mtbprj2"])
+def test_exact_repeats_at_eta_zero_keep_the_inverse_exact(algo, budget):
+    """At eta = 0 a repeat of a stored example is in the span: its
+    residual reads 0, so it is projected, never inserted at the Schur
+    floor. 400 steps over 40 distinct examples (k=3, d=8) fill the span
+    (24 dimensions under the multitask kernel, 8 task-blind) and, at B=6,
+    evict; the inverse must stay that of the oracle Gram throughout."""
+    rng = np.random.default_rng(0)
+    rows = rng.normal(size=(40, 8))
+    tasks = rng.integers(1, 4, size=40)
+    picks = rng.integers(40, size=400)
+    labels = rng.choice((-1, 1), size=400)
+    g = TaskGraph.complete(3)
+    learner = make_learner(cfg(algo, g, budget=budget, eta=0.0), 8)
+    s = learner.active_set
+    distinct = [MultitaskInstance(SparseVector.from_dense(x), int(t))
+                for x, t in zip(rows, tasks)]
+    if s.kernel_mode == "multitask":
+        G = np.array([[mt_kernel(a, b, learner.model, SPEC) for b in distinct]
+                      for a in distinct])
+    else:
+        G = np.array([[base_kernel(a.x, b.x, SPEC) for b in distinct]
+                      for a in distinct])
+    examples = labelled([distinct[i] for i in picks], labels, 8, SPEC)
+    row_of = {id(q): i for (q, _), i in zip(examples, picks)}
+    for query, y in examples:
+        learner.step(query, y)
+        rows_in = [row_of[id(s.query(j))] for j in range(len(s))]
+        err = np.max(np.abs(G[np.ix_(rows_in, rows_in)] @ s.gram_inv
+                            - np.eye(len(s))))
+        assert err <= 1e-6
+    assert len(s) == min(budget, 24 if algo == "mtbprj" else 8)
 
 
 @pytest.mark.parametrize("algo", ["mtbprj", "mtbprj2"])
