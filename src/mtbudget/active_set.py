@@ -15,8 +15,11 @@ insert whose Schur complement is below the floor raises NumericalFailure
 and leaves the set unchanged. A learner inserts only when the residual of
 the projection just before is above eta, so it never hits the floor.
 
+Entries keep insertion order: an insert appends, an eviction closes the
+gap, so entry 0 is always the earliest insert still held and no entry
+carries a timestamp.
 Stored feature vectors, and the rows and columns of H^-1, sit in physical
-slots that never move; a logical-order slot map gives each entry's slot.
+slots that never move; an entry-order slot map gives each entry's slot.
 Eviction frees a slot and zeroes its row and column of H^-1, shifting
 only the O(B) per-entry arrays; the next insert reuses the slot. The
 vectors live in a SlotStore: feature-major, one column per slot, with a
@@ -150,7 +153,6 @@ class ActiveSet:
         if kernel_mode not in ("multitask", "single"):
             raise ValueError("bad kernel_mode %r" % kernel_mode)
         self.budget = int(budget)
-        self.dim = int(dim)
         self.spec = spec
         self.model = model
         self.kernel_mode = kernel_mode
@@ -160,15 +162,13 @@ class ActiveSet:
         # Per slot, never moved: the stored vector (with its self kernel,
         # squared norm and Query), its task, and the slot's row and column
         # of H^-1.
-        self._store = SlotStore(self.dim, self._cap)
+        self._store = SlotStore(int(dim), self._cap)
         self._tasks = np.zeros(self._cap, dtype=np.int64)
         self._hi = 0        # slots ever used
         self._free = []     # slots below _hi that hold no entry
         self._in_order = True   # until the first eviction, slot j holds entry j
-        # Per entry, in logical order.
+        # Per entry, in insertion order.
         self._slot = np.zeros(self._cap, dtype=np.int64)
-        self._times = np.zeros(self._cap, dtype=np.int64)
-        self._clock = 0
         if kernel_mode == "single":
             self._W = np.zeros((model.k, self._cap))
         else:
@@ -184,15 +184,9 @@ class ActiveSet:
         return self._logical(self._tasks)
 
     @property
-    def times(self):
-        return self._times[:self.n]
-
-    @property
     def weights(self):
         """Live view; mutate in place, never keep across inserts."""
-        if self._W.ndim == 2:
-            return self._W[:, :self.n]
-        return self._W[:self.n]
+        return self._W[..., :self.n]
 
     @property
     def gram_inv(self):
@@ -309,12 +303,7 @@ class ActiveSet:
         self._store.write(slot, query)
         self._tasks[slot] = query.task
         self._slot[n] = slot
-        self._times[n] = self._clock
-        self._clock += 1
-        if self._W.ndim == 2:
-            self._W[:, n] = weight
-        else:
-            self._W[n] = weight
+        self._W[..., n] = weight
         self.n = n + 1
         self._last = None
         if self.maintain_inverse:
@@ -336,12 +325,8 @@ class ActiveSet:
         slot = int(self._slot[r])
         self._free.append(slot)
         self._in_order = False
-        for arr in (self._slot, self._times):
-            arr[r:n - 1] = arr[r + 1:n]
-        if self._W.ndim == 2:
-            self._W[:, r:n - 1] = self._W[:, r + 1:n]
-        else:
-            self._W[r:n - 1] = self._W[r + 1:n]
+        self._slot[r:n - 1] = self._slot[r + 1:n]
+        self._W[..., r:n - 1] = self._W[..., r + 1:n]
         self.n = n - 1
         self._last = None
         if not self.maintain_inverse:
@@ -372,9 +357,6 @@ class ActiveSet:
             diag = diag + a * a / delta
         return np.sqrt(1.0 / np.maximum(self._logical(diag), 1e-300))
 
-    def oldest(self):
-        return int(np.argmin(self._times[:self.n]))
-
     # -- maintenance ---------------------------------------------------
 
     def _settle(self):
@@ -389,7 +371,7 @@ class ActiveSet:
         past the budget), so the full-budget H^-1 is one contiguous block."""
         new_cap = max(self._cap + 1, min(2 * self._cap, self.budget + 1))
         self._store.resize(new_cap)
-        for name in ("_tasks", "_slot", "_times"):
+        for name in ("_tasks", "_slot"):
             setattr(self, name, _grown(getattr(self, name), new_cap))
         self._W = _grown(self._W, self._W.shape[:-1] + (new_cap,))
         if self.maintain_inverse:

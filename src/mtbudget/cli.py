@@ -17,6 +17,7 @@ from .kernels import KernelSpec
 from .learners import ALGORITHMS, LearnerConfig, mtforg_bound, mtrbp_bound
 
 VERIFY_TOL = 1e-9
+SYNTH_KEYS = ("k", "d", "n", "rel", "relatedness", "noise", "seed", "margin")
 
 
 def _emit(obj):
@@ -28,6 +29,10 @@ def _parse_synth_spec(text):
     for part in text.split(","):
         key, _, value = part.partition("=")
         opts[key.strip()] = value.strip()
+    unknown = sorted(set(opts) - set(SYNTH_KEYS))
+    if unknown:
+        raise ValueError("unknown --synth key(s) %s; known: %s"
+                         % (", ".join(map(repr, unknown)), ", ".join(SYNTH_KEYS)))
     return dict(k=int(opts.get("k", 2)), d=int(opts.get("d", 10)),
                 n=int(opts.get("n", 1000)),
                 relatedness=float(opts.get("rel", opts.get("relatedness", 0.5))),

@@ -91,23 +91,14 @@ class TaskGraph:
 
 @dataclass(frozen=True)
 class InteractionModel:
-    """Holds L, A = I + L, M = A^-1 and c_G for one task graph."""
+    """M = (I + L)^-1 and c_G for one task graph."""
 
-    laplacian: np.ndarray
-    interaction: np.ndarray
     inverse: np.ndarray
     cG: float
 
     @property
     def k(self):
-        return self.interaction.shape[0]
-
-
-@dataclass(frozen=True)
-class ResistanceMatrix:
-    """Pairwise effective resistances of a connected graph."""
-
-    entries: np.ndarray
+        return self.inverse.shape[0]
 
 
 def build_laplacian(g: TaskGraph) -> np.ndarray:
@@ -129,7 +120,7 @@ def build_interaction_model(g: TaskGraph) -> InteractionModel:
         raise NumericalFailure(
             "interaction solve residual %.3e exceeds %.1e" % (residual, _SOLVE_TOL))
     cG = float(np.sqrt(np.max(np.diag(M))))
-    return InteractionModel(laplacian=L, interaction=A, inverse=M, cG=cG)
+    return InteractionModel(inverse=M, cG=cG)
 
 
 def augment_graph(g: TaskGraph) -> TaskGraph:
@@ -140,7 +131,8 @@ def augment_graph(g: TaskGraph) -> TaskGraph:
     return TaskGraph(hub, frozenset(edges))
 
 
-def resistance_matrix(g: TaskGraph) -> ResistanceMatrix:
+def resistance_matrix(g: TaskGraph) -> np.ndarray:
+    """Pairwise effective resistances of a connected graph."""
     if not g.is_connected():
         raise DisconnectedGraph("resistance distance needs a connected graph")
     L = build_laplacian(g)
@@ -151,7 +143,7 @@ def resistance_matrix(g: TaskGraph) -> ResistanceMatrix:
     d = np.diag(Lp)
     R = d[:, None] + d[None, :] - 2.0 * Lp
     np.fill_diagonal(R, 0.0)
-    return ResistanceMatrix(entries=np.maximum(R, 0.0))
+    return np.maximum(R, 0.0)
 
 
 def verify_proposition_3_1(g: TaskGraph) -> float:
@@ -163,7 +155,7 @@ def verify_proposition_3_1(g: TaskGraph) -> float:
     """
     model = build_interaction_model(g)
     k = g.k
-    R = resistance_matrix(augment_graph(g)).entries  # (k+1) x (k+1)
+    R = resistance_matrix(augment_graph(g))  # (k+1) x (k+1)
     row = R.sum(axis=1)  # over l = 1..k+1
     total = R.sum()
     n = k + 1

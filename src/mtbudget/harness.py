@@ -15,25 +15,28 @@ from .learners import LearnerConfig, make_learner
 
 @dataclass
 class StreamMetrics:
-    """Micro-averaged online counters plus per-task breakdown."""
+    """Per-task confusion counts (tp, fp, fn, tn), the micro-averaged
+    counters derived from them, and the run's other outputs."""
 
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    tn: int = 0
     mistakes: int = 0
     per_task: np.ndarray = field(default_factory=lambda: np.zeros((0, 4), dtype=np.int64))
     trajectory: list = field(default_factory=list)  # (step, f_measure, |S|)
     final_active: int = 0
 
     @property
+    def counts(self):
+        """Micro (tp, fp, fn, tn): the column sums of `per_task`."""
+        return tuple(int(c) for c in self.per_task.sum(axis=0))
+
+    @property
     def steps(self):
-        return self.tp + self.fp + self.fn + self.tn
+        return sum(self.counts)
 
     @property
     def f_measure(self):
-        denom = 2 * self.tp + self.fp + self.fn
-        return 2.0 * self.tp / denom if denom else 0.0
+        tp, fp, fn, _ = self.counts
+        denom = 2 * tp + fp + fn
+        return 2.0 * tp / denom if denom else 0.0
 
 
 def run_stream(stream: DatasetStream, config: LearnerConfig,
@@ -44,6 +47,8 @@ def run_stream(stream: DatasetStream, config: LearnerConfig,
     sparse stream is never densified."""
     if not stream.binary:
         raise ValueError("stream still has real labels; binarize first")
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1, got %r" % epochs)
     if stream.k > config.graph.k:
         raise TaskOutOfRange("the stream has %d tasks but the graph has only %d"
                              % (stream.k, config.graph.k))
@@ -58,20 +63,9 @@ def run_stream(stream: DatasetStream, config: LearnerConfig,
         for query, y in zip(queries, labels):
             outcome = learner.step(query, y)
             step += 1
-            t = query.task - 1
-            if outcome.prediction == 1:
-                slot = 0 if y == 1 else 1   # tp / fp
-            else:
-                slot = 2 if y == 1 else 3   # fn / tn
-            metrics.per_task[t, slot] += 1
-            if slot == 0:
-                metrics.tp += 1
-            elif slot == 1:
-                metrics.fp += 1
-            elif slot == 2:
-                metrics.fn += 1
-            else:
-                metrics.tn += 1
+            # column tp, fp, fn or tn
+            metrics.per_task[query.task - 1,
+                             2 * (outcome.prediction != 1) + (y != 1)] += 1
             if step % every == 0 or step == total:
                 metrics.trajectory.append((step, metrics.f_measure,
                                            learner.active_size))
@@ -94,8 +88,9 @@ def resolve_budget(spec, stream: DatasetStream, kernel: KernelSpec) -> int:
     text = str(spec).strip()
     if text.endswith("%"):
         frac = float(text[:-1]) / 100.0
-        if frac <= 0:
-            raise ValueError("budget fraction must be positive")
+        if not (np.isfinite(frac) and frac > 0):
+            raise ValueError("budget fraction %r must be finite and positive"
+                             % text)
         base = baseline_active_size(stream, kernel)
         return max(1, int(np.ceil(frac * base)))
     value = int(text)

@@ -89,6 +89,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "polynomial", "gaussian"):
             raise ValueError("unknown kernel kind %r" % self.kind)
+        if not (np.isfinite(self.gamma) and np.isfinite(self.offset)):
+            raise ValueError("kernel gamma and offset must be finite, got "
+                             "gamma=%r offset=%r" % (self.gamma, self.offset))
         if self.kind == "polynomial" and (self.degree < 1 or self.offset < 0):
             raise ValueError("polynomial needs degree >= 1 and offset >= 0")
         if self.kind == "gaussian" and self.gamma <= 0:

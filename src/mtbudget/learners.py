@@ -164,7 +164,7 @@ class MTRandomizedBudgetPerceptron(_KernelLearner):
 
 
 class MTForgetron(_KernelLearner):
-    """Oldest-first eviction plus the self-tuned shrinking step."""
+    """First-in-first-out eviction plus the self-tuned shrinking step."""
 
     maintain_inverse = False
 
@@ -179,15 +179,14 @@ class MTForgetron(_KernelLearner):
             s.insert(query, y)
             self._labels.append(y)
             return "insert"
-        r = s.oldest()
-        beta_r = float(s.weights[r])
-        y_r = self._labels[r]
+        # entries keep insertion order, so entry 0 was inserted first
+        beta_r = float(s.weights[0])
+        y_r = self._labels.pop(0)
         # pre-update prediction on the evictee, from its stored query
-        f_r = s.predict(s.query(r))
+        f_r = s.predict(s.query(0))
         s.insert(query, y, force=True)
         self._labels.append(y)
-        s.evict(r)
-        del self._labels[r]
+        s.evict(0)
         phi, psi = compute_phi(beta_r, y_r, f_r, self.deficit,
                                self.mistakes, self.model.cG)
         s.weights[:] *= phi
@@ -250,11 +249,6 @@ def make_learner(config: LearnerConfig, dim: int):
            "mtforg": MTForgetron,
            "perceptron_battery": PerceptronBattery}[config.algorithm]
     return cls(config, dim)
-
-
-def shrink_penalty(cG: float, lam: float, mu: float) -> float:
-    """Deficit increment of one shrinking step: cG^2 l^2 + 2 cG l - 2 l mu."""
-    return cG * cG * lam * lam + 2.0 * cG * lam - 2.0 * lam * mu
 
 
 def compute_phi(beta_r, y_r, f_r, deficit, mistakes, cG):

@@ -6,6 +6,7 @@ builds the (query, label) pairs a test steps a learner on, the way
 instance the brute-force `mt_kernel` / `base_kernel` oracles take.
 `kernel_column` and `stored_vectors` read an active set's kernel column and
 its store's vectors, which the package itself never needs whole.
+`interaction_of` builds a graph's I + L from its edge list alone.
 """
 
 import numpy as np
@@ -39,6 +40,17 @@ def kernel_column(s, query):
     if len(s) == 0:
         return np.zeros(0)
     return s._logical(s._slot_column(query))
+
+
+def interaction_of(g):
+    """A = I + L of a TaskGraph, entry by entry from its edges."""
+    A = np.eye(g.k)
+    for i, j in g.edges:
+        A[i - 1, i - 1] += 1.0
+        A[j - 1, j - 1] += 1.0
+        A[i - 1, j - 1] -= 1.0
+        A[j - 1, i - 1] -= 1.0
+    return A
 
 
 def stored_vectors(store):

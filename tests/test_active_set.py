@@ -278,6 +278,48 @@ class TestRandomizedMaintenance:
         assert inverse_error(s) <= 1e-9
 
 
+class TestInsertionOrder:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(ops=st.lists(st.tuples(st.sampled_from(["insert", "evict", "replace_oldest"]),
+                                  st.integers(0, 2 ** 16)),
+                        min_size=1, max_size=40),
+           budget=st.integers(1, 6),
+           mode=st.sampled_from(["multitask", "single"]),
+           maintain_inverse=st.booleans())
+    def test_entries_follow_an_insertion_order_list(self, ops, budget, mode,
+                                                    maintain_inverse):
+        """An insert appends and an eviction closes the gap, so entry j is
+        the j-th oldest survivor and entry 0 the oldest: the entries and
+        their weights equal a plain list kept in insertion order."""
+        rng = np.random.default_rng(budget)
+        s = ActiveSet(budget, 16, SPEC, MODEL, kernel_mode=mode,
+                      maintain_inverse=maintain_inverse)
+        kept = []   # (query, weight), oldest first
+
+        def add(force=False):
+            q = rand_query(rng, d=16)
+            w = rng.normal(size=3) if mode == "single" else rng.normal()
+            s.insert(q, w, force=force)
+            kept.append((q, w))
+
+        for op, r in ops:
+            if op == "insert" and len(s) < budget:
+                add()
+            elif op == "evict" and kept:
+                r %= len(kept)
+                s.evict(r)
+                del kept[r]
+            elif op == "replace_oldest" and len(s) == budget:
+                add(force=True)
+                s.evict(0)
+                del kept[0]
+            assert len(s) == len(kept)
+            assert all(s.query(j) is q for j, (q, _) in enumerate(kept))
+            assert list(s.tasks) == [q.task for q, _ in kept]
+            for j, (_, w) in enumerate(kept):
+                assert np.array_equal(s.weights[..., j], w)
+
+
 # -- the deferred border of a full-budget insert ----------------------------
 
 BORDER_TOL = 1e-9

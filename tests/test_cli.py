@@ -38,6 +38,7 @@ class TestRun:
         doc = json.loads(out)
         assert 1 <= doc["budget_resolved"] < 400
 
+    @pytest.mark.filterwarnings("ignore:mtforg mistake bound")
     def test_byte_identical_reruns(self, capsys):
         argv = ("run", "--algo", "mtforg", "--graph", "complete",
                 "--budget", "15", "--seed", "3", "--synth", SYNTH)
@@ -95,6 +96,24 @@ class TestRun:
                      "--budget", "20", "--synth", SYNTH, "--eta", eta])
         assert code == 1
         assert "error: eta must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--kernel", "gauss:nan"), "kernel gamma and offset must be finite"),
+        (("--kernel", "gauss:inf"), "kernel gamma and offset must be finite"),
+        (("--kernel", "poly:2:nan:norm"), "kernel gamma and offset must be finite"),
+        (("--budget", "inf%"), "budget fraction 'inf%' must be finite"),
+        (("--budget", "nan%"), "budget fraction 'nan%' must be finite"),
+        (("--epochs", "0"), "epochs must be >= 1, got 0"),
+        (("--epochs", "-1"), "epochs must be >= 1, got -1"),
+        (("--synth", SYNTH + ",noize=0.3"), "unknown --synth key(s) 'noize'"),
+    ])
+    def test_bad_input_fails_cleanly(self, capsys, argv, message):
+        # each of these once ran to exit 0 on a meaningless run, or ended
+        # in an unnamed error
+        code = main(["run", "--algo", "mtbprj", "--graph", "complete",
+                     "--budget", "20", "--synth", SYNTH, *argv])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: " + message)
 
     def test_graph_with_fewer_tasks_fails_cleanly(self, capsys):
         code = main(["run", "--synth", "k=3,d=5,n=50,seed=1", "--k", "2",

@@ -7,8 +7,9 @@ from mtbudget.data import (DatasetStream, binarize_by_percentile,
                            generate_synthetic, parse_dataset, rescale_features,
                            shift_term, write_dataset)
 from mtbudget.errors import EmptyStream, ParseError, TaskOutOfRange
-from mtbudget.graph import TaskGraph, build_interaction_model
+from mtbudget.graph import TaskGraph
 from mtbudget.kernels import MultitaskInstance, SparseVector
+from support import interaction_of
 
 
 class TestParse:
@@ -274,13 +275,12 @@ class TestShiftTerm:
         g = TaskGraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
         _, refs = generate_synthetic(4, 6, 100, 0.6, 0.0, seed=11,
                                      shift_schedule=[(30, 0.4), (60, 0.9)])
-        model = build_interaction_model(g)
+        A = interaction_of(g)
         total, traces = shift_term(refs, g)
         seq = refs.sequence()
         expect = 0.0
         for prev, cur in zip(seq, seq[1:]):
             delta = cur - prev
-            expect += math.sqrt(float(np.trace(delta.T @ model.interaction
-                                               @ delta)))
+            expect += math.sqrt(float(np.trace(delta.T @ A @ delta)))
         assert total == pytest.approx(expect, abs=1e-9)
         assert len(traces) == len(seq)

@@ -20,10 +20,14 @@ def small_stream(n=300, k=3, d=8, seed=0, noise=0.2):
 
 class TestFMeasure:
     def test_formula_cases(self):
-        m = StreamMetrics(tp=3, fp=1, fn=2, tn=10)
+        m = StreamMetrics(per_task=np.array([[3, 1, 2, 10]]))
         assert m.f_measure == pytest.approx(6.0 / 9.0)
-        assert StreamMetrics(tn=5).f_measure == 0.0
-        assert StreamMetrics(tp=5).f_measure == 1.0
+        assert StreamMetrics(per_task=np.array([[0, 0, 0, 5]])).f_measure == 0.0
+        assert StreamMetrics(per_task=np.array([[5, 0, 0, 0]])).f_measure == 1.0
+        # the micro counts sum the tasks' rows
+        m = StreamMetrics(per_task=np.array([[3, 1, 2, 10], [1, 0, 4, 2]]))
+        assert m.counts == (4, 1, 6, 12) and m.steps == 23
+        assert m.f_measure == pytest.approx(8.0 / 15.0)
 
     def test_counts_sum_to_steps(self):
         stream = small_stream()
@@ -33,11 +37,10 @@ class TestFMeasure:
         assert m.steps == len(stream)
         # a zero-score step with a positive label updates but classifies
         # correctly, so mistakes can exceed fp + fn
-        assert m.mistakes >= m.fp + m.fn
+        _, fp, fn, _ = m.counts
+        assert m.mistakes >= fp + fn
         assert m.per_task.sum() == len(stream)
         assert m.per_task.shape == (3, 4)
-        assert (m.per_task.sum(axis=0)
-                == np.array([m.tp, m.fp, m.fn, m.tn])).all()
 
 
 class TestCausality:
@@ -60,7 +63,7 @@ class TestCausality:
             else:
                 tn += 1
         m = run_stream(stream, cfg)
-        assert (m.tp, m.fp, m.fn, m.tn) == (tp, fp, fn, tn)
+        assert m.counts == (tp, fp, fn, tn)
 
     def test_suffix_independence(self):
         """Prefix metrics cannot depend on later examples."""
@@ -125,6 +128,13 @@ class TestTaskCount:
 
 
 class TestEpochs:
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_no_epoch_rejected(self, epochs):
+        cfg = LearnerConfig("mtrbp", TaskGraph.complete(3), budget=15,
+                            kernel=SPEC)
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            run_stream(small_stream(n=20), cfg, epochs=epochs)
+
     def test_multiple_epochs_see_more_steps(self):
         stream = small_stream(n=100)
         cfg = LearnerConfig("mtrbp", TaskGraph.complete(3), budget=15,
@@ -163,3 +173,8 @@ class TestResolveBudget:
         stream = small_stream(n=30)
         with pytest.raises(ValueError):
             resolve_budget("fast", stream, SPEC)
+
+    @pytest.mark.parametrize("spec", ["inf%", "nan%", "-inf%", "0%"])
+    def test_rejects_fraction_that_is_not_finite_and_positive(self, spec):
+        with pytest.raises(ValueError, match="budget fraction '%s'" % spec):
+            resolve_budget(spec, small_stream(n=30), SPEC)

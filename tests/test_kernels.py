@@ -47,6 +47,14 @@ class TestKernelSpecParse:
             with pytest.raises(ValueError):
                 KernelSpec.parse(text)
 
+    @pytest.mark.parametrize("text", ["gauss:nan", "gauss:inf", "gauss:nan:norm",
+                                      "poly:2:nan:norm", "poly:2:inf"])
+    def test_non_finite_parameter_rejected(self, text):
+        # a NaN gamma or offset turns every score into NaN, and an infinite
+        # gamma every kernel column into 0
+        with pytest.raises(ValueError, match="must be finite"):
+            KernelSpec.parse(text)
+
 
 class TestBaseKernel:
     def test_gaussian_unit_diagonal(self):

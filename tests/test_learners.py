@@ -389,6 +389,7 @@ class TestMtforg:
             assert forg.step(*e).mistake == rbp.step(*e).mistake
         assert forg.deficit == 0.0
 
+    @pytest.mark.filterwarnings("ignore:mtforg mistake bound")
     def test_full_budget_shrink_and_deficit(self):
         rng = np.random.default_rng(10)
         g = TaskGraph.complete(3)
@@ -399,13 +400,12 @@ class TestMtforg:
             s = learner.active_set
             pre = None
             if len(s) == 4 and y * s.predict(query) <= 0:
-                oldest = s.oldest()
-                pre = dict(beta_r=float(s.weights[oldest]),
-                           y_r=learner._labels[oldest],
-                           f_r=s.predict(s.query(oldest)),
+                pre = dict(beta_r=float(s.weights[0]),
+                           y_r=learner._labels[0],
+                           f_r=s.predict(s.query(0)),
                            weights=s.weights.copy(),
                            Q=learner.deficit, M=learner.mistakes,
-                           first=s.query(oldest))
+                           first=s.query(0))
             out = learner.step(query, y)
             if pre is not None:
                 shrinks += 1
@@ -487,6 +487,7 @@ class TestBattery:
 class TestBudgetRespected:
     @pytest.mark.parametrize("algo", ["mtbprj", "mtbprj2", "mtrbp", "mtforg"])
     @pytest.mark.parametrize("budget", [5, 20])
+    @pytest.mark.filterwarnings("ignore:mtforg mistake bound")
     def test_size_cap(self, algo, budget):
         rng = np.random.default_rng(13)
         learner = make_learner(cfg(algo, TaskGraph.complete(3), budget=budget), 10)
@@ -565,6 +566,7 @@ class TestSingleTaskReduction:
                     cb = [cb[i] for i in idx]
                     beta = list(np.array(cb) + br * gam)
 
+    @pytest.mark.filterwarnings("ignore:mtforg mistake bound")
     def test_mtforg_matches_scalar_forgetron(self):
         stream = self._stream(seed=16)
         B = 6
