@@ -54,8 +54,8 @@ def run_stream(stream: DatasetStream, config: LearnerConfig,
                              % (stream.k, config.graph.k))
     learner = make_learner(config, dim=stream.d)
     metrics = StreamMetrics(per_task=np.zeros((config.graph.k, 4), dtype=np.int64))
-    queries = make_queries(stream.instances, stream.d, config.kernel)
-    labels = [int(y) for y in stream.labels]
+    queries = make_queries(stream, config.kernel)
+    labels = stream.labels.astype(np.int64).tolist()
     total = len(queries) * epochs
     every = max(1, total // 100)
     step = 0

@@ -7,12 +7,13 @@ every single-task instance has unit self-similarity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ZeroNormInstance
+from .errors import NumericalFailure, ZeroNormInstance
 from .graph import InteractionModel
 
 
@@ -179,42 +180,61 @@ class Query(NamedTuple):
     task: int
 
 
-def make_queries(instances, dim, spec: KernelSpec):
-    """Queries of a sequence of MultitaskInstances, all in one form.
+def make_queries(stream, spec: KernelSpec):
+    """Queries of every row of a DatasetStream, all in one form.
 
     The form follows the mean density of the rows: below SPARSE_DENSITY a
     kernel column reads the stored vectors only at the query's nonzeros, which
-    costs O(B * nnz) instead of the dense row's O(B * d). Under a
-    normalized kernel a zero-norm instance raises ZeroNormInstance naming
-    its position (1-based) and task.
+    costs O(B * nnz) instead of the dense row's O(B * d). A sparse query's
+    arrays are views into one zero-based copy of the stream's ids and into
+    its values; a dense query's row is a view into one n x d scatter of the
+    stream. All of them are read-only.
+
+    Under a normalized kernel a zero-norm instance raises ZeroNormInstance
+    naming its position (1-based) and task. A raw self kernel whose square
+    is not finite raises NumericalFailure: no kernel value, normalized or
+    not, could then be trusted.
     """
-    nnz = sum(inst.x.indices.size for inst in instances)
-    sparse = nnz < SPARSE_DENSITY * dim * len(instances)
+    n, dim, indptr = len(stream), stream.d, stream.indptr
+    sparse = stream.ids.size < SPARSE_DENSITY * dim * n
+    if sparse:
+        idx = stream.ids - 1
+        idx.flags.writeable = False
+        bounds = indptr.tolist()
+        rows = [(idx[a:b], stream.values[a:b]) for a, b in zip(bounds, bounds[1:])]
+    else:
+        X = np.zeros((n, dim))
+        X[np.repeat(np.arange(n), np.diff(indptr)), stream.ids - 1] = stream.values
+        X.flags.writeable = False
+        rows = [(None, x) for x in X]
     out = []
-    for pos, inst in enumerate(instances, start=1):
-        if sparse:
-            idx, x = inst.x.indices - 1, inst.x.values
-        else:
-            idx, x = None, inst.x.to_dense(dim)
+    for pos, ((idx, x), task) in enumerate(zip(rows, stream.tasks.tolist()), start=1):
         q_self = dense_self_raw(x, spec)
         if spec.normalize and q_self <= 0.0:
             raise ZeroNormInstance(
                 "example %d (task %d) has zero norm, which a normalized "
-                "kernel cannot scale" % (pos, inst.task))
+                "kernel cannot scale" % (pos, task))
+        if not math.isfinite(q_self * q_self):
+            raise NumericalFailure(
+                "example %d (task %d): kernel %s gives the raw self kernel %r, "
+                "whose square is not finite" % (pos, task, spec.to_string(), q_self))
         # the linear raw self kernel is the squared norm
         sq = q_self if spec.kind == "linear" else float(np.dot(x, x))
-        out.append(Query(idx, x, q_self, sq, inst.task))
+        out.append(Query(idx, x, q_self, sq, task))
     return out
 
 
 def dense_self_raw(x: np.ndarray, spec: KernelSpec) -> float:
-    """Raw self-similarity of one dense row."""
+    """Raw self-similarity of one dense row (inf if it overflows)."""
     if spec.kind == "gaussian":
         return 1.0
     sq = float(np.dot(x, x))
     if spec.kind == "linear":
         return sq
-    return (sq + spec.offset) ** spec.degree
+    try:
+        return (sq + spec.offset) ** spec.degree
+    except OverflowError:
+        return math.inf
 
 
 def dense_kernel_vector(X: np.ndarray, self_raw: np.ndarray,

@@ -1,28 +1,41 @@
 """Helpers shared by the test modules.
 
-Learners and the active set take `kernels.Query` objects only. `labelled`
-builds the (query, label) pairs a test steps a learner on, the way
-`run_stream` builds them; `instance_of` turns a stored query back into the
+Learners and the active set take `kernels.Query` objects only. `queries_of`
+builds the queries of a list of instances the way `run_stream` builds a
+stream's, from a stream of them; `labelled` pairs them with their labels
+for a test to step a learner on; `instance_of` turns a stored query back into the
 instance the brute-force `mt_kernel` / `base_kernel` oracles take.
 `kernel_column` and `stored_vectors` read an active set's kernel column and
 its store's vectors, which the package itself never needs whole.
 `interaction_of` builds a graph's I + L from its edge list alone.
+`parse_by_line` is the line-by-line reference of `parse_dataset`.
 """
+
+import math
 
 import numpy as np
 
+from mtbudget.data import DatasetStream
+from mtbudget.errors import ParseError, TaskOutOfRange
 from mtbudget.kernels import MultitaskInstance, SparseVector, make_queries
 
 
+def queries_of(instances, dim, spec):
+    """The instances' queries, built by one `make_queries` call on a stream
+    of them, as `run_stream` builds a stream's."""
+    k = max((inst.task for inst in instances), default=1)
+    return make_queries(DatasetStream(list(instances), np.ones(len(instances)), k, dim),
+                        spec)
+
+
 def labelled(instances, labels, dim, spec):
-    """(query, label) pairs, the queries built by one `make_queries` call
-    as `run_stream` builds a stream's, the labels as ints."""
-    return list(zip(make_queries(instances, dim, spec), [int(y) for y in labels]))
+    """(query, label) pairs: the instances' queries, the labels as ints."""
+    return list(zip(queries_of(instances, dim, spec), [int(y) for y in labels]))
 
 
 def query_of(inst, dim, spec):
     """The query of one instance."""
-    return make_queries([inst], dim, spec)[0]
+    return queries_of([inst], dim, spec)[0]
 
 
 def instance_of(query):
@@ -61,3 +74,58 @@ def stored_vectors(store):
     feats = np.flatnonzero(store.row)
     out[feats] = store.X[store.row[feats]]
     return out
+
+
+def parse_by_line(path, k=None) -> DatasetStream:
+    """Line-by-line reference of `parse_dataset`: one `MultitaskInstance`
+    per row, each token through `int`/`float`, the first bad line raised
+    as it is read."""
+    instances = []
+    labels = []
+    max_task = 0
+    max_feat = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            toks = line.split()
+            if len(toks) < 2:
+                raise ParseError("expected `<task> <label> ...`", line_no)
+            try:
+                task = int(toks[0])
+            except ValueError:
+                raise ParseError("bad task id %r" % toks[0], line_no)
+            if task < 1 or (k is not None and task > k):
+                raise TaskOutOfRange("line %d: task %d outside 1..%s"
+                                     % (line_no, task, k if k else "?"))
+            try:
+                label = float(toks[1])
+            except ValueError:
+                raise ParseError("bad label %r" % toks[1], line_no)
+            if not math.isfinite(label):
+                raise ParseError("non-finite label %r" % toks[1], line_no)
+            pairs = []
+            for tok in toks[2:]:
+                try:
+                    idx_s, val_s = tok.split(":", 1)
+                    idx, val = int(idx_s), float(val_s)
+                except ValueError:
+                    raise ParseError("bad feature token %r" % tok, line_no)
+                if not math.isfinite(val):
+                    raise ParseError("non-finite feature value %r" % tok, line_no)
+                if idx < 1:
+                    raise ParseError("feature ids are 1-based, got %d" % idx,
+                                     line_no)
+                pairs.append((idx, val))
+            try:
+                sv = SparseVector.from_pairs(pairs)
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no)
+            instances.append(MultitaskInstance(sv, task))
+            labels.append(label)
+            max_task = max(max_task, task)
+            if sv.indices.size:     # sorted, so the last id is the largest
+                max_feat = max(max_feat, int(sv.indices[-1]))
+    return DatasetStream(instances, np.array(labels),
+                         k if k is not None else max(max_task, 1), max_feat)

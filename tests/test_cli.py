@@ -106,6 +106,10 @@ class TestRun:
         (("--epochs", "0"), "epochs must be >= 1, got 0"),
         (("--epochs", "-1"), "epochs must be >= 1, got -1"),
         (("--synth", SYNTH + ",noize=0.3"), "unknown --synth key(s) 'noize'"),
+        (("--kernel", "poly:2000:1:norm"),
+         "example 1 (task 1): kernel poly:2000:1:norm gives the raw self kernel inf"),
+        (("--kernel", "poly:600:1:norm"),
+         "example 1 (task 1): kernel poly:600:1:norm gives the raw self kernel 4.1"),
     ])
     def test_bad_input_fails_cleanly(self, capsys, argv, message):
         # each of these once ran to exit 0 on a meaningless run, or ended

@@ -1,15 +1,20 @@
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from mtbudget import data
 from mtbudget.data import (DatasetStream, binarize_by_percentile,
                            generate_synthetic, parse_dataset, rescale_features,
                            shift_term, write_dataset)
 from mtbudget.errors import EmptyStream, ParseError, TaskOutOfRange
 from mtbudget.graph import TaskGraph
-from mtbudget.kernels import MultitaskInstance, SparseVector
-from support import interaction_of
+from mtbudget.kernels import KernelSpec, MultitaskInstance, SparseVector, make_queries
+from support import interaction_of, parse_by_line
 
 
 class TestParse:
@@ -66,6 +71,16 @@ class TestParse:
             parse_dataset(p)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("line, error", [
+        ("1 1 99999999999999999999:1.0", ParseError),
+        ("99999999999999999999 1 1:1.0", TaskOutOfRange)])
+    def test_ids_beyond_64_bits_name_the_line(self, tmp_path, line, error):
+        # the line-by-line parser raised a bare OverflowError for the id
+        p = tmp_path / "bad.mtsvm"
+        p.write_text("1 1 1:1.0\n" + line + "\n")
+        with pytest.raises(error, match="line 2: "):
+            parse_dataset(p)
+
     def test_real_labels_allowed_until_binarized(self, tmp_path):
         p = tmp_path / "r.mtsvm"
         p.write_text("1 3.7 1:1.0\n1 -0.5 2:1.0\n")
@@ -80,6 +95,108 @@ class TestParse:
         assert len(stream) == 0
         with pytest.raises(EmptyStream):
             binarize_by_percentile(stream)
+
+
+# Tokens a row is drawn from: mostly well formed, some of each kind of
+# fault the parser must name.
+BAD_FEATURES = ["3 4:5:6", "1:", ":5", "1.5:2", "0:1", "-1:2", "1:nan",
+                "2:inf", "4:-inf", "x:1", "2:1:"]
+VALUES = ["0.5", "-2", "1", "0", "1e-3", "7.25", "-0", "+3.5E2", "0.1"]
+
+
+@st.composite
+def mtsvm_line(draw):
+    kind = draw(st.sampled_from(["row"] * 8 + ["comment", "blank", "bare"]))
+    if kind == "comment":
+        return draw(st.sampled_from(["# header", "#", "  # indented 1 1 1:x"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    task = draw(st.sampled_from(["1", "2", "3", "1", "2", "4", "0", "9", "x", "1.0"]))
+    if kind == "bare":
+        return task
+    label = draw(st.sampled_from(["1", "-1", "+1", "0.25", "-3.5e2", "1", "-1",
+                                  "nan", "inf", "-inf", "x"]))
+    ids = draw(st.lists(st.integers(1, 12), max_size=5, unique=True))
+    feats = ["%d:%s" % (i, draw(st.sampled_from(VALUES))) for i in ids]
+    if feats and draw(st.integers(0, 9)) == 0:        # a duplicate id
+        feats.append(feats[0].split(":")[0] + ":2")
+    if draw(st.integers(0, 9)) == 0:
+        feats.insert(draw(st.integers(0, len(feats))),
+                     draw(st.sampled_from(BAD_FEATURES)))
+    sep = draw(st.sampled_from([" ", " ", "\t", "  "]))
+    line = sep.join([task, label] + feats)
+    if draw(st.integers(0, 5)) == 0:
+        line += " # trailing 9 9 x:y"
+    return line
+
+
+def outcome(parse, path, k):
+    """A parse's arrays, or the type and line number of its error."""
+    try:
+        s = parse(path, k)
+    except ValueError as exc:
+        if isinstance(exc, ParseError):
+            return type(exc), exc.line_no
+        return type(exc), int(re.match(r"line (\d+):", str(exc)).group(1))
+    return (s.indptr.tolist(), s.ids.tolist(), s.values.tobytes(),
+            s.tasks.tolist(), s.labels.tobytes(), s.values.dtype, s.labels.dtype,
+            s.k, s.d)
+
+
+class TestParseMatchesLineByLine:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(mtsvm_line(), max_size=12),
+           newline=st.sampled_from(["\n", "\r\n"]),
+           k=st.one_of(st.none(), st.integers(1, 5)),
+           block=st.sampled_from([1, 40, 1 << 30]))
+    def test_random_files(self, tmp_path, lines, newline, k, block):
+        path = tmp_path / "r.mtsvm"
+        path.write_bytes("".join(line + newline for line in lines).encode())
+        with mock.patch.object(data, "_BLOCK_BYTES", block):
+            got = outcome(parse_dataset, path, k)
+        assert got == outcome(parse_by_line, path, k)
+
+    @pytest.mark.parametrize("block", [1, 1 << 30])
+    def test_unsorted_rows_across_blocks(self, tmp_path, block):
+        path = tmp_path / "u.mtsvm"
+        path.write_text("2 1 5:1 2:2 9:3\n1 -1\n1 1 3:4 1:5\n"
+                        "3 0.5 7:1\n2 -1 4:1 3:2 2:3 1:4\n")
+        with mock.patch.object(data, "_BLOCK_BYTES", block):
+            got = outcome(parse_dataset, path, None)
+        assert got == outcome(parse_by_line, path, None)
+        assert got[1] == [2, 5, 9, 1, 3, 7, 1, 2, 3, 4]
+
+
+class TestStreamArrays:
+    @pytest.mark.parametrize("indptr, ids, tasks", [
+        ([0, 2], [1], [1]),          # indptr past the ids
+        ([0, 1], [1], [1, 1]),       # a task too many
+        ([0], [], []),               # no row for the label
+    ])
+    def test_inconsistent_arrays_rejected(self, indptr, ids, tasks):
+        with pytest.raises(ValueError, match="inconsistent stream arrays"):
+            DatasetStream((indptr, ids, np.ones(len(ids)), tasks), np.ones(1), 1, 1)
+
+    def test_stream_and_query_arrays_reject_writes(self, tmp_path):
+        path = tmp_path / "s.mtsvm"
+        path.write_text("1 0.5 1:2 3:1\n2 -1 2:4\n1 3 1:1 2:1 3:1\n")
+        stream = parse_dataset(path)
+        derived = binarize_by_percentile(rescale_features(stream))
+        for s in (stream, derived):
+            for arr in (s.indptr, s.ids, s.values, s.tasks, s.labels):
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+        for d in (3, 300):       # dense, then sparse queries
+            wide = DatasetStream((stream.indptr, stream.ids, stream.values,
+                                  stream.tasks), stream.labels, stream.k, d)
+            for q in make_queries(wide, KernelSpec("linear", normalize=True)):
+                assert (q.idx is None) == (d == 3)
+                with pytest.raises(ValueError):
+                    q.x[0] = 0.0
+                if q.idx is not None:
+                    with pytest.raises(ValueError):
+                        q.idx[0] = 0
 
 
 def stream_of(vectors, labels, k=1, d=None):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from mtbudget.data import DatasetStream, generate_synthetic
+from mtbudget import kernels
+from mtbudget.data import (DatasetStream, binarize_by_percentile, generate_synthetic,
+                           parse_dataset, rescale_features)
 from mtbudget.errors import TaskOutOfRange
 from mtbudget.graph import TaskGraph
 from mtbudget.harness import (StreamMetrics, baseline_active_size,
                               resolve_budget, run_stream)
 from mtbudget.kernels import KernelSpec
-from mtbudget.learners import LearnerConfig, make_learner
+from mtbudget.learners import ALGORITHMS, LearnerConfig, make_learner
 from support import labelled
 
 SPEC = KernelSpec("linear", normalize=True)
@@ -178,3 +180,31 @@ class TestResolveBudget:
     def test_rejects_fraction_that_is_not_finite_and_positive(self, spec):
         with pytest.raises(ValueError, match="budget fraction '%s'" % spec):
             resolve_budget(spec, small_stream(n=30), SPEC)
+
+
+@pytest.mark.filterwarnings("ignore:mtforg mistake bound")
+@pytest.mark.parametrize("d, nnz", [(80, 4), (8, 8)])     # sparse, dense queries
+def test_no_row_objects_on_the_run_path(tmp_path, monkeypatch, d, nnz):
+    """`mtbudget run`'s chain builds no SparseVector or MultitaskInstance."""
+    rng = np.random.default_rng(1)
+    path = tmp_path / "s.mtsvm"
+    with open(path, "w") as fh:
+        for row in range(240):
+            ids = np.sort(rng.choice(d, nnz, replace=False)) + 1
+            feats = " ".join("%d:%.17g" % (i, v)
+                             for i, v in zip(ids, rng.lognormal(size=nnz)))
+            fh.write("%d %.17g %s\n" % (row % 3 + 1, rng.standard_normal(), feats))
+    built = []
+    for cls in (kernels.SparseVector, kernels.MultitaskInstance):
+        def counting(self, *args, real=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    stream = binarize_by_percentile(rescale_features(parse_dataset(path)))
+    budget = resolve_budget("50%", stream, SPEC)
+    for algo in ALGORITHMS:
+        run_stream(stream, LearnerConfig(algo, TaskGraph.complete(3), budget,
+                                         kernel=SPEC))
+    assert built == []
+    assert (kernels.make_queries(stream, SPEC)[0].idx is None) == (d == nnz)
+    assert len(stream.instances) == 240 and len(built) == 480   # the counter counts

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from mtbudget.errors import ZeroNormInstance
+from mtbudget.data import DatasetStream
+from mtbudget.errors import NumericalFailure, ZeroNormInstance
 from mtbudget.graph import TaskGraph, build_interaction_model
 from mtbudget.kernels import (KernelSpec, MultitaskInstance, SparseVector,
                               base_kernel, dense_kernel_vector,
-                              dense_self_raw, mt_kernel)
+                              dense_self_raw, make_queries, mt_kernel)
 
 
 def sv(*pairs):
@@ -160,3 +161,28 @@ class TestDenseFastPaths:
             expect = base_kernel(SparseVector.from_dense(r),
                                  SparseVector.from_dense(q), spec)
             assert got[i] == pytest.approx(expect, abs=1e-12)
+
+
+class TestSelfKernelRange:
+    @pytest.mark.parametrize("text, d", [("poly:2000:1:norm", 10),   # overflows
+                                         ("poly:600:1:norm", 10),    # its square does
+                                         ("linear", 300)])           # sparse form
+    def test_non_finite_square_names_example(self, text, d):
+        # unit rows: (1 + 1)^2000 ended in an OverflowError traceback;
+        # (1 + 1)^600 is finite, but sqrt(self * self) of the normalization
+        # overflowed and every kernel value came out 0
+        rng = np.random.default_rng(0)
+        rows = [MultitaskInstance(SparseVector.from_dense(r / np.linalg.norm(r)), 2)
+                for r in rng.normal(size=(3, 10))]
+        if text == "linear":
+            rows[1] = MultitaskInstance(sv((4, 1e100)), 2)
+        stream = DatasetStream(rows, np.ones(3), 2, d)
+        name = r"example %d \(task 2\): kernel %s" % (2 if text == "linear" else 1, text)
+        with pytest.raises(NumericalFailure, match=name):
+            make_queries(stream, KernelSpec.parse(text))
+
+    def test_large_finite_degree_still_runs(self):
+        stream = DatasetStream([MultitaskInstance(sv((1, 1.0), (2, 1.0)), 1)],
+                               np.ones(1), 1, 2)
+        (q,) = make_queries(stream, KernelSpec.parse("poly:300:1:norm"))
+        assert q.self_raw == 3.0 ** 300

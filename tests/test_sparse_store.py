@@ -21,7 +21,8 @@ from mtbudget.kernels import (KernelSpec, MultitaskInstance, Query, SparseVector
                               base_kernel, dense_self_raw, make_queries,
                               mt_kernel)
 from mtbudget.learners import ALGORITHMS, LearnerConfig, make_learner
-from support import instance_of, kernel_column, query_of, stored_vectors
+from support import (instance_of, kernel_column, queries_of, query_of,
+                     stored_vectors)
 
 D = 5000
 NNZ = 30
@@ -158,20 +159,20 @@ class TestQueryForm:
     def test_form_follows_stream_density(self):
         rng = np.random.default_rng(1)
         sparse = [sparse_instance(rng) for _ in range(5)]
-        queries = make_queries(sparse, D, SPECS["linear"])
+        queries = queries_of(sparse, D, SPECS["linear"])
         assert all(q.idx is not None for q in queries)
         assert [q.task for q in queries] == [inst.task for inst in sparse]
         dense = [MultitaskInstance(SparseVector.from_dense(rng.standard_normal(8)), 1)
                  for _ in range(5)]
-        assert all(q.idx is None for q in make_queries(dense, 8, SPECS["linear"]))
+        assert all(q.idx is None for q in queries_of(dense, 8, SPECS["linear"]))
 
     def test_zero_norm_names_position_and_task(self):
         rng = np.random.default_rng(2)
         insts = [sparse_instance(rng), MultitaskInstance(SparseVector.from_pairs([]), 3)]
         with pytest.raises(ZeroNormInstance, match=r"example 2 \(task 3\)"):
-            make_queries(insts, D, SPECS["linear"])
+            queries_of(insts, D, SPECS["linear"])
         # unnormalized kernels have no scale to divide by
-        assert make_queries(insts, D, KernelSpec("linear"))[1].self_raw == 0.0
+        assert queries_of(insts, D, KernelSpec("linear"))[1].self_raw == 0.0
 
 
 def sparse_stream(n=300, d=400, nnz=8, k=K, seed=0):
@@ -196,7 +197,7 @@ def test_harness_matches_stepping_without_queries(algo, monkeypatch):
     stream = sparse_stream()
     config = LearnerConfig(algo, TaskGraph.complete(K), budget=12, eta=0.05,
                            kernel=SPECS["linear"], seed=3)
-    assert make_queries(stream.instances, stream.d, config.kernel)[0].idx is not None
+    assert make_queries(stream, config.kernel)[0].idx is not None
 
     seen = []
     real_make_learner = harness.make_learner
@@ -241,7 +242,7 @@ class TestCompactRows:
         insts = [MultitaskInstance(
             SparseVector(np.sort(rng.choice(self.DIM, NNZ, replace=False)) + 1,
                          rng.random(NNZ)), i % K + 1) for i in range(n)]
-        return make_queries(insts, self.DIM, SPECS["linear"])
+        return queries_of(insts, self.DIM, SPECS["linear"])
 
     @staticmethod
     def check_rows(store, stored):
