@@ -363,14 +363,11 @@ def shift_term(refs: ReferenceTaskSet, graph: TaskGraph):
     capped by the comparison-class inequalities.
     """
     seq = refs.sequence()
-    edges = [(i - 1, j - 1) for (i, j) in graph.edges]
+    i, j = (graph.edges - 1).T
 
     def quad_form(mat):
-        total = float(np.sum(mat * mat))
-        for (i, j) in edges:
-            diff = mat[i] - mat[j]
-            total += float(np.dot(diff, diff))
-        return total
+        diff = mat[i] - mat[j]
+        return float(np.sum(mat * mat)) + float(np.sum(diff * diff))
 
     total_shift = 0.0
     for prev, cur in zip(seq, seq[1:]):

@@ -17,76 +17,60 @@ _SOLVE_TOL = 1e-9
 _PINV_CUTOFF = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaskGraph:
-    """Undirected graph over tasks 1..k, edges stored as sorted pairs."""
+    """Undirected graph over tasks 1..k.
+
+    `edges` is one read-only int64 array of shape (E, 2). Each row is a pair
+    i < j of task ids, and the rows strictly increase in lexicographic
+    order, so no pair appears twice. Rows given out of order are sorted.
+    """
 
     k: int
-    edges: frozenset
+    edges: np.ndarray
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("need at least one task, got k=%d" % self.k)
-        for (i, j) in self.edges:
-            if not (1 <= i < j <= self.k):
-                raise ValueError("bad edge (%r, %r) for k=%d" % (i, j, self.k))
+        e = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        bad = (e[:, 0] < 1) | (e[:, 0] >= e[:, 1]) | (e[:, 1] > self.k)
+        if bad.any():
+            i, j = e[np.argmax(bad)]
+            raise ValueError("bad edge (%d, %d) for k=%d" % (i, j, self.k))
+        if not _increasing(e).all():
+            e = e[np.lexsort((e[:, 1], e[:, 0]))]
+            dup = ~_increasing(e)
+            if dup.any():
+                i, j = e[np.argmax(dup)]
+                raise ValueError("duplicate edge (%d, %d)" % (i, j))
+        e.flags.writeable = False
+        object.__setattr__(self, "edges", e)
 
     @staticmethod
     def from_edges(k, edges):
-        canon = set()
-        for (i, j) in edges:
-            if i == j:
-                raise ValueError("self-loop (%d, %d)" % (i, j))
-            pair = (i, j) if i < j else (j, i)
-            if pair in canon:
-                raise ValueError("duplicate edge %r" % (pair,))
-            canon.add(pair)
-        return TaskGraph(k, frozenset(canon))
+        """Graph of (i, j) pairs given in either orientation and any order;
+        a self-loop (i, i) fails the constructor's i < j check."""
+        return TaskGraph(k, np.sort(np.array(edges, dtype=np.int64).reshape(-1, 2),
+                                    axis=1))
 
     @staticmethod
     def complete(k):
-        return TaskGraph(k, frozenset((i, j) for i in range(1, k + 1)
-                                      for j in range(i + 1, k + 1)))
+        return TaskGraph(k, np.column_stack(np.triu_indices(k, 1)) + 1)
 
     @staticmethod
     def edgeless(k):
-        return TaskGraph(k, frozenset())
+        return TaskGraph(k, np.arange(0).reshape(0, 2))
 
     @staticmethod
     def path(k):
-        return TaskGraph(k, frozenset((i, i + 1) for i in range(1, k)))
+        return TaskGraph(k, np.arange(1, k)[:, None] + [0, 1])
 
-    @property
-    def degree(self):
-        d = np.zeros(self.k, dtype=int)
-        for (i, j) in self.edges:
-            d[i - 1] += 1
-            d[j - 1] += 1
-        return d
 
-    def components(self):
-        """Connected component label (0-based) per task."""
-        parent = list(range(self.k))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for (i, j) in self.edges:
-            ri, rj = find(i - 1), find(j - 1)
-            if ri != rj:
-                parent[ri] = rj
-        roots = {}
-        labels = np.empty(self.k, dtype=int)
-        for v in range(self.k):
-            r = find(v)
-            labels[v] = roots.setdefault(r, len(roots))
-        return labels
-
-    def is_connected(self):
-        return len(set(self.components())) <= 1
+def _increasing(e):
+    """Per consecutive pair of rows, whether the second is lexicographically
+    larger."""
+    a, b = e[:-1], e[1:]
+    return (a[:, 0] < b[:, 0]) | ((a[:, 0] == b[:, 0]) & (a[:, 1] < b[:, 1]))
 
 
 @dataclass(frozen=True)
@@ -103,10 +87,9 @@ class InteractionModel:
 
 def build_laplacian(g: TaskGraph) -> np.ndarray:
     L = np.zeros((g.k, g.k))
-    for (i, j) in g.edges:
-        L[i - 1, j - 1] = -1.0
-        L[j - 1, i - 1] = -1.0
-    np.fill_diagonal(L, g.degree.astype(float))
+    i, j = (g.edges - 1).T
+    L[i, j] = L[j, i] = -1.0
+    np.fill_diagonal(L, np.count_nonzero(L, axis=1))  # neighbours per task
     return L
 
 
@@ -126,18 +109,21 @@ def build_interaction_model(g: TaskGraph) -> InteractionModel:
 def augment_graph(g: TaskGraph) -> TaskGraph:
     """Add a hub node k+1 connected to every existing node."""
     hub = g.k + 1
-    edges = set(g.edges)
-    edges.update((i, hub) for i in range(1, hub))
-    return TaskGraph(hub, frozenset(edges))
+    spokes = np.column_stack((np.arange(1, hub), np.full(g.k, hub)))
+    return TaskGraph(hub, np.concatenate((g.edges, spokes)))
 
 
 def resistance_matrix(g: TaskGraph) -> np.ndarray:
-    """Pairwise effective resistances of a connected graph."""
-    if not g.is_connected():
-        raise DisconnectedGraph("resistance distance needs a connected graph")
+    """Pairwise effective resistances of a connected graph.
+
+    A graph is connected exactly when one eigenvalue of its Laplacian is 0,
+    so more than one at or below the pseudo-inverse's cutoff raises.
+    """
     L = build_laplacian(g)
     w, V = np.linalg.eigh(L)
     cutoff = _PINV_CUTOFF * max(np.max(np.abs(w)), 1.0)
+    if np.count_nonzero(w <= cutoff) > 1:
+        raise DisconnectedGraph("resistance distance needs a connected graph")
     inv_w = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
     Lp = (V * inv_w) @ V.T
     d = np.diag(Lp)
@@ -193,6 +179,8 @@ def parse_graph_file(path) -> TaskGraph:
                 raise ParseError("bad edge %r" % line, line_no)
             if i == j:
                 raise ParseError("self-loop %d-%d" % (i, j), line_no)
+            if not (1 <= i <= k and 1 <= j <= k):
+                raise ParseError("edge %d-%d outside 1..%d" % (i, j, k), line_no)
             edges.append((i, j))
     if k is None:
         raise ParseError("empty graph file")

@@ -171,21 +171,20 @@ class MTForgetron(_KernelLearner):
     def __init__(self, config, dim):
         super().__init__(config, dim)
         self.deficit = 0.0
-        self._labels = []
 
     def _update(self, query, y):
         s = self.active_set
         if len(s) < s.budget:
             s.insert(query, y)
-            self._labels.append(y)
             return "insert"
         # entries keep insertion order, so entry 0 was inserted first
         beta_r = float(s.weights[0])
-        y_r = self._labels.pop(0)
+        # a weight is its label times shrink factors in (0, 1], so its sign is
+        # the label; a weight that underflowed to 0 zeroes every term y_r is in
+        y_r = 1.0 if beta_r > 0 else -1.0
         # pre-update prediction on the evictee, from its stored query
         f_r = s.predict(s.query(0))
         s.insert(query, y, force=True)
-        self._labels.append(y)
         s.evict(0)
         phi, psi = compute_phi(beta_r, y_r, f_r, self.deficit,
                                self.mistakes, self.model.cG)

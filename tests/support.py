@@ -7,7 +7,8 @@ for a test to step a learner on; `instance_of` turns a stored query back into th
 instance the brute-force `mt_kernel` / `base_kernel` oracles take.
 `kernel_column` and `stored_vectors` read an active set's kernel column and
 its store's vectors, which the package itself never needs whole.
-`interaction_of` builds a graph's I + L from its edge list alone.
+`interaction_of` builds a graph's I + L, and `components_of` its connected
+components, from its edge list alone.
 `parse_by_line` is the line-by-line reference of `parse_dataset`.
 """
 
@@ -58,12 +59,35 @@ def kernel_column(s, query):
 def interaction_of(g):
     """A = I + L of a TaskGraph, entry by entry from its edges."""
     A = np.eye(g.k)
-    for i, j in g.edges:
+    for i, j in g.edges.tolist():
         A[i - 1, i - 1] += 1.0
         A[j - 1, j - 1] += 1.0
         A[i - 1, j - 1] -= 1.0
         A[j - 1, i - 1] -= 1.0
     return A
+
+
+def components_of(g):
+    """Connected component label (0-based) per task, by breadth-first search
+    over the edge list."""
+    neighbours = [[] for _ in range(g.k)]
+    for i, j in g.edges.tolist():
+        neighbours[i - 1].append(j - 1)
+        neighbours[j - 1].append(i - 1)
+    labels = [-1] * g.k
+    count = 0
+    for start in range(g.k):
+        if labels[start] >= 0:
+            continue
+        labels[start] = count
+        queue = [start]
+        for v in queue:         # the queue grows while it is read
+            for u in neighbours[v]:
+                if labels[u] < 0:
+                    labels[u] = count
+                    queue.append(u)
+        count += 1
+    return labels
 
 
 def stored_vectors(store):

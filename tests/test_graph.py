@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtbudget.errors import DisconnectedGraph, ParseError
 from mtbudget.graph import (TaskGraph, augment_graph, build_interaction_model,
                             build_laplacian, parse_graph_file, resistance_matrix,
                             resolve_graph, verify_proposition_3_1)
-from support import interaction_of
+from support import components_of, interaction_of
 
 
 def random_graph(k, prob, rng):
@@ -14,25 +16,77 @@ def random_graph(k, prob, rng):
     return TaskGraph.from_edges(k, edges)
 
 
+@st.composite
+def pair_lists(draw):
+    """(k, pairs): a random graph's edges in random orientation and order,
+    with up to two arbitrary pairs (self-loops, ids 0 or k+1) and perhaps a
+    repeated pair mixed in."""
+    k = draw(st.integers(1, 40))
+    prob = draw(st.sampled_from([0.0, 0.05, 0.15, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pairs = [(i, j) if rng.random() < 0.5 else (j, i)
+             for i in range(1, k + 1) for j in range(i + 1, k + 1)
+             if rng.random() < prob]
+    rng.shuffle(pairs)
+    ids = st.integers(0, k + 1)
+    for pair in draw(st.lists(st.tuples(ids, ids), max_size=2)):
+        pairs.insert(draw(st.integers(0, len(pairs))), pair)
+    repeat = draw(st.sampled_from([None, None, "same", "flipped"]))
+    if pairs and repeat:
+        i, j = pairs[draw(st.integers(0, len(pairs) - 1))]
+        pairs.append((i, j) if repeat == "same" else (j, i))
+    return k, pairs
+
+
+def edge_set_oracle(k, pairs):
+    """The sorted edge list `from_edges` must yield, or None where it must
+    reject the pairs: a self-loop, an id outside 1..k or a pair seen twice."""
+    seen = set()
+    for i, j in pairs:
+        pair = (min(i, j), max(i, j))
+        if i == j or pair[0] < 1 or pair[1] > k or pair in seen:
+            return None
+        seen.add(pair)
+    return [list(pair) for pair in sorted(seen)]
+
+
 class TestTaskGraph:
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
-            TaskGraph.from_edges(3, [(1, 1)])
+        with pytest.raises(ValueError, match=r"\(1, 1\)"):
+            TaskGraph.from_edges(3, [(2, 1), (1, 1)])
 
     def test_rejects_duplicate(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"duplicate edge \(1, 2\)"):
             TaskGraph.from_edges(3, [(1, 2), (2, 1)])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"bad edge \(1, 3\) for k=2"):
             TaskGraph.from_edges(2, [(1, 3)])
 
-    def test_components(self):
-        g = TaskGraph.from_edges(5, [(1, 2), (4, 5)])
-        labels = g.components()
-        assert labels[0] == labels[1]
-        assert labels[3] == labels[4]
-        assert len({labels[0], labels[2], labels[3]}) == 3
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=pair_lists())
+    def test_matches_set_oracle(self, case):
+        """`from_edges` accepts exactly the pair lists a set-based oracle
+        accepts, and its graph's edge array, Laplacian, augmentation and
+        connectivity agree with oracles built from the edge list alone."""
+        k, pairs = case
+        expect = edge_set_oracle(k, pairs)
+        if expect is None:
+            with pytest.raises(ValueError):
+                TaskGraph.from_edges(k, pairs)
+            return
+        g = TaskGraph.from_edges(k, pairs)
+        assert g.edges.dtype == np.int64 and g.edges.shape == (len(expect), 2)
+        assert g.edges.tolist() == expect
+        assert not g.edges.flags.writeable
+        assert np.array_equal(build_laplacian(g), interaction_of(g) - np.eye(k))
+        spokes = [[i, k + 1] for i in range(1, k + 1)]
+        assert augment_graph(g).edges.tolist() == sorted(expect + spokes)
+        if len(set(components_of(g))) > 1:
+            with pytest.raises(DisconnectedGraph):
+                resistance_matrix(g)
+        else:
+            assert resistance_matrix(g).shape == (k, k)
 
 
 class TestLaplacian:
@@ -87,7 +141,7 @@ class TestInteractionModel:
         for _ in range(30):
             g = random_graph(int(rng.integers(2, 10)), 0.4, rng)
             m = build_interaction_model(g)
-            comp = g.components()
+            comp = components_of(g)
             for i in range(g.k):
                 for j in range(g.k):
                     if i != j and comp[i] == comp[j]:
@@ -96,7 +150,7 @@ class TestInteractionModel:
     def test_cross_component_entries_are_zero(self):
         g = TaskGraph.from_edges(5, [(1, 2), (4, 5)])
         m = build_interaction_model(g)
-        comp = g.components()
+        comp = components_of(g)
         for i in range(5):
             for j in range(5):
                 if comp[i] != comp[j]:
@@ -114,6 +168,13 @@ class TestInteractionModel:
             m = build_interaction_model(TaskGraph.complete(k))
             assert m.cG == pytest.approx(np.sqrt(2.0 / (k + 1)), abs=1e-12)
 
+    def test_complete_at_k_1000(self):
+        k = 1000
+        g = TaskGraph.complete(k)
+        assert np.array_equal(build_laplacian(g), k * np.eye(k) - np.ones((k, k)))
+        m = build_interaction_model(g)
+        assert m.cG == pytest.approx(np.sqrt(2.0 / (k + 1)), abs=1e-12)
+
     def test_cg_isolated_node(self):
         g = TaskGraph.from_edges(4, [(1, 2), (2, 3), (1, 3)])  # node 4 isolated
         assert build_interaction_model(g).cG == pytest.approx(1.0, abs=1e-12)
@@ -122,15 +183,15 @@ class TestInteractionModel:
 class TestAugment:
     def test_edgeless_to_star(self):
         g = augment_graph(TaskGraph.edgeless(2))
-        assert g.k == 3 and g.edges == frozenset({(1, 3), (2, 3)})
+        assert g.k == 3 and g.edges.tolist() == [[1, 3], [2, 3]]
 
     def test_complete_stays_complete(self):
         g = augment_graph(TaskGraph.complete(3))
-        assert g.edges == TaskGraph.complete(4).edges
+        assert g.edges.tolist() == TaskGraph.complete(4).edges.tolist()
 
     def test_single_edge_to_triangle(self):
         g = augment_graph(TaskGraph.from_edges(2, [(1, 2)]))
-        assert g.edges == TaskGraph.complete(3).edges
+        assert g.edges.tolist() == TaskGraph.complete(3).edges.tolist()
 
 
 class TestResistance:
@@ -192,7 +253,7 @@ class TestGraphFile:
         path = tmp_path / "g.txt"
         path.write_text("k 4\n1 2\n3 4\n")
         g = parse_graph_file(path)
-        assert g.k == 4 and g.edges == frozenset({(1, 2), (3, 4)})
+        assert g.k == 4 and g.edges.tolist() == [[1, 2], [3, 4]]
 
     def test_duplicate_rejected(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -200,8 +261,16 @@ class TestGraphFile:
         with pytest.raises(ParseError):
             parse_graph_file(path)
 
+    @pytest.mark.parametrize("edge", ["1 4", "0 2", "1 99999999999999999999"])
+    def test_id_out_of_range_names_the_line(self, tmp_path, edge):
+        path = tmp_path / "g.txt"
+        path.write_text("k 3\n1 2\n%s\n" % edge)
+        with pytest.raises(ParseError, match="line 3: edge .* outside 1..3"):
+            parse_graph_file(path)
+
     def test_keywords(self):
-        assert resolve_graph("complete", 3).edges == TaskGraph.complete(3).edges
-        assert resolve_graph("disconnected", 3).edges == frozenset()
+        assert (resolve_graph("complete", 3).edges.tolist()
+                == TaskGraph.complete(3).edges.tolist())
+        assert resolve_graph("disconnected", 3).edges.tolist() == []
         with pytest.raises(ValueError):
             resolve_graph("complete")

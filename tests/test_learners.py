@@ -396,17 +396,20 @@ class TestMtforg:
         learner = make_learner(cfg("mtforg", g, budget=4), 10)
         cG = learner.model.cG
         shrinks = 0
+        inserted = []       # labels of the active set's entries, oldest first
         for query, y in rand_examples(rng, 300, d=10):
             s = learner.active_set
             pre = None
             if len(s) == 4 and y * s.predict(query) <= 0:
                 pre = dict(beta_r=float(s.weights[0]),
-                           y_r=learner._labels[0],
+                           y_r=inserted.pop(0),
                            f_r=s.predict(s.query(0)),
                            weights=s.weights.copy(),
                            Q=learner.deficit, M=learner.mistakes,
                            first=s.query(0))
             out = learner.step(query, y)
+            if out.mistake:
+                inserted.append(y)
             if pre is not None:
                 shrinks += 1
                 assert out.action == "insert_evict_shrink"
