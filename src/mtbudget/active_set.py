@@ -23,9 +23,11 @@ slots that never move; an entry-order slot map gives each entry's slot.
 Eviction frees a slot and zeroes its row and column of H^-1, shifting
 only the O(B) per-entry arrays; the next insert reuses the slot. The
 vectors live in a SlotStore: feature-major, one column per slot, with a
-row only for the features some stored vector has used, so a sparse
-query's kernel column reads one short contiguous run per nonzero feature
-and memory is O(d + F * capacity) for F distinct stored features.
+row only for the features the stored vectors use, so a sparse query's
+kernel column reads one short contiguous run per nonzero feature and
+memory is O(d + F * capacity) for F distinct stored features.
+Queries come folded into the normalized kernel, so a column is one gemv and
+its task coupling one `take` from row t of M; no k x B table is kept.
 
 An insert leaves its border of H^-1 pending, as the bordering vector a
 (H^-1 times the new column, with -1 at the new slot) and the Schur
@@ -42,7 +44,7 @@ import numpy as np
 
 from .errors import BudgetFull, NumericalFailure
 from .graph import InteractionModel
-from .kernels import KernelSpec, Query, dense_kernel_vector
+from .kernels import KernelSpec, Query, dense_kernel_vector, folded_dim, require_normalized
 
 _SCHUR_MIN = 1e-10
 
@@ -63,8 +65,11 @@ class SlotStore:
     block `X[map[idx], :hi]` holds the same values a d-row store would. The
     first dense query turns the store dense: every feature gets its row, in
     feature order, and a dense query's block is the plain slice `X[:, :hi]`.
-    Per slot the store also keeps the raw self kernel, the squared norm and
-    the Query written there. Rows grow by doubling, slots by `resize`.
+    Per slot the store also keeps the squared norm and the Query written
+    there. Slots grow by `resize`. New features that overflow the rows
+    first rebuild the map from the F features the held queries use, unless
+    too few rows can have lost their last user for that to free half of
+    them; the rows grow, to 1 + 2F, only if those fill more than half.
     """
 
     def __init__(self, dim, cap):
@@ -72,8 +77,8 @@ class SlotStore:
         self.X = np.zeros((1, cap))
         self.row = np.zeros(dim, dtype=np.intp)
         self.rows = 1           # rows in use (sparse layout: with the zero row)
+        self.stale = 0          # features cleared since the last rebuild
         self.dense = False
-        self.self_raw = np.zeros(cap)
         self.sq = np.zeros(cap)
         self.queries = [None] * cap
 
@@ -89,25 +94,24 @@ class SlotStore:
 
     def write(self, slot, query: Query):
         """Store the query in `slot`, clearing the features of what it held."""
+        old = self.queries[slot]
+        self.queries[slot] = query
         if query.idx is None:
             if not self.dense:
                 self._densify()
             self.X[:, slot] = query.x
         else:
-            old = self.queries[slot]
             if old is not None:
                 self.X[slice(None) if old.idx is None else self.row[old.idx],
                        slot] = 0.0
-            rows = self._rows_of(query.idx)    # may grow self.X
+                self.stale += old.x.size
+            rows = self._rows_of(query.idx)    # may rebuild self.X
             self.X[rows, slot] = query.x
-        self.self_raw[slot] = query.self_raw
         self.sq[slot] = query.sq
-        self.queries[slot] = query
 
     def resize(self, cap):
         """Grow to `cap` slots."""
         self.X = _grown(self.X, (self.X.shape[0], cap))
-        self.self_raw = _grown(self.self_raw, cap)
         self.sq = _grown(self.sq, cap)
         self.queries.extend([None] * (cap - len(self.queries)))
 
@@ -119,10 +123,27 @@ class SlotStore:
         new = idx[rows == 0]
         used = self.rows + new.size
         if used > self.X.shape[0]:
-            self.X = _grown(self.X, (max(used, 2 * self.X.shape[0]), self.X.shape[1]))
+            if 2 * (used - 1 - self.stale) <= self.X.shape[0] - 1:
+                self._compact()
+                return self.row[idx]
+            # no rebuild can free half the rows: a battery never clears one
+            self.X = _grown(self.X, (2 * used - 1, self.X.shape[1]))
         self.row[new] = np.arange(self.rows, used)
         self.rows = used
         return self.row[idx]
+
+    def _compact(self):
+        """Rows only for the features of the held queries (the one being
+        written among them); every block keeps its values."""
+        feats = np.unique(np.concatenate([q.idx for q in self.queries if q is not None]))
+        self.rows = 1 + feats.size
+        X = np.zeros((max(self.X.shape[0], 2 * self.rows - 1), self.X.shape[1]))
+        X[1:self.rows] = self.X[self.row[feats]]
+        self.X = X
+        # a fresh zero map, not a cleared one: untouched pages cost nothing
+        self.row = np.zeros(self.dim, dtype=np.intp)
+        self.row[feats] = np.arange(1, self.rows)
+        self.stale = 0
 
     def _densify(self):
         X = np.zeros((self.dim, self.X.shape[1]))
@@ -142,9 +163,8 @@ class ActiveSet:
     are K'(x_i, x_j), task markers are ignored by projections, and weights
     form a k x |S| matrix (one prediction function per task).
 
-    Every operation takes the instance as a kernels.Query (features, self
-    kernel and task), which `make_queries` builds once per example.
-    """
+    Every operation takes the instance as a kernels.Query (features folded
+    into the normalized kernel, and task), built once by `make_queries`."""
 
     def __init__(self, budget, dim, spec: KernelSpec, model: InteractionModel,
                  kernel_mode="multitask", maintain_inverse=True):
@@ -152,6 +172,7 @@ class ActiveSet:
             raise ValueError("budget must be positive")
         if kernel_mode not in ("multitask", "single"):
             raise ValueError("bad kernel_mode %r" % kernel_mode)
+        require_normalized(spec)
         self.budget = int(budget)
         self.spec = spec
         self.model = model
@@ -159,10 +180,10 @@ class ActiveSet:
         self.maintain_inverse = maintain_inverse
         self.n = 0
         self._cap = min(16, self.budget + 1)
-        # Per slot, never moved: the stored vector (with its self kernel,
-        # squared norm and Query), its task, and the slot's row and column
-        # of H^-1.
-        self._store = SlotStore(int(dim), self._cap)
+        # Per slot, never moved: the stored vector (with its squared norm
+        # and Query), its zero-based task, and the slot's row and column of
+        # H^-1.
+        self._store = SlotStore(folded_dim(int(dim), spec), self._cap)
         self._tasks = np.zeros(self._cap, dtype=np.int64)
         self._hi = 0        # slots ever used
         self._free = []     # slots below _hi that hold no entry
@@ -181,7 +202,7 @@ class ActiveSet:
 
     @property
     def tasks(self):
-        return self._logical(self._tasks)
+        return self._logical(self._tasks) + 1
 
     @property
     def weights(self):
@@ -219,11 +240,11 @@ class ActiveSet:
         """
         hi = self._hi
         store = self._store
-        col = dense_kernel_vector(store.block(query, hi), store.self_raw[:hi],
-                                  store.sq[:hi], query.x, query.self_raw,
+        col = dense_kernel_vector(store.block(query, hi), store.sq[:hi], query.x,
                                   query.sq, self.spec)
         if self.kernel_mode == "multitask":
-            col = col * self.model.inverse[self._tasks[:hi] - 1, query.task - 1]
+            # M is exactly symmetric, so its row t is its column t
+            col *= self.model.inverse[query.task - 1].take(self._tasks[:hi])
         return col
 
     def _column_terms(self, query: Query):
@@ -250,15 +271,11 @@ class ActiveSet:
         return alpha, delta
 
     def self_kernel(self, query: Query):
-        """Configured kernel of the query with itself (M_qq after
-        normalization)."""
-        if self.spec.normalize or self.spec.kind == "gaussian":
-            base = 1.0
-        else:
-            base = query.self_raw
+        """Configured kernel of the query with itself: M_qq (the base kernel
+        is normalized), or 1 in single mode."""
         if self.kernel_mode == "multitask":
-            return float(self.model.inverse[query.task - 1, query.task - 1]) * base
-        return float(base)
+            return float(self.model.inverse[query.task - 1, query.task - 1])
+        return 1.0
 
     # -- public operations --------------------------------------------
 
@@ -301,7 +318,7 @@ class ActiveSet:
             slot = self._hi
             self._hi += 1
         self._store.write(slot, query)
-        self._tasks[slot] = query.task
+        self._tasks[slot] = query.task - 1
         self._slot[n] = slot
         self._W[..., n] = weight
         self.n = n + 1

@@ -11,6 +11,7 @@ import numpy as np
 
 from .data import (binarize_by_percentile, generate_synthetic, parse_dataset,
                    rescale_features, write_dataset)
+from .errors import TaskOutOfRange
 from .graph import TaskGraph, resolve_graph, verify_proposition_3_1
 from .harness import resolve_budget, run_stream
 from .kernels import KernelSpec
@@ -42,8 +43,17 @@ def _parse_synth_spec(text):
 
 
 def _load_stream(args):
+    if args.k is not None and args.k < 1:
+        raise ValueError("--k must be at least 1, got %d" % args.k)
     if args.data:
         stream = parse_dataset(args.data, k=args.k)
+        # without --k the largest task id sizes the graph, so one mistyped
+        # id could ask for a graph of 10^12 tasks
+        present = np.unique(stream.tasks).size
+        if args.k is None and present < stream.tasks.max(initial=0):
+            raise TaskOutOfRange(
+                "the largest task id is %d but only %d distinct tasks appear; "
+                "give the task count with --k" % (stream.k, present))
     elif args.synth:
         stream, _ = generate_synthetic(**_parse_synth_spec(args.synth))
     else:

@@ -2,8 +2,8 @@
 learners step on.
 
 All learners require the normalized form of the base kernel, so that
-every single-task instance has unit self-similarity.
-"""
+every single-task instance has unit self-similarity; `make_queries` folds
+it into each query once, so a kernel column is one matrix-vector product."""
 
 from __future__ import annotations
 
@@ -170,92 +170,97 @@ class Query(NamedTuple):
 
     Sparse form: `idx` holds the zero-based ids of the nonzero features and
     `x` their values. Dense form: `idx` is None and `x` is the whole row.
-    `task` is the instance's 1-based task.
-    """
+    `x` is folded into the kernel (`make_queries`), `sq` is its squared norm
+    (only the gaussian reads it) and `task` the 1-based task."""
 
     idx: Optional[np.ndarray]
     x: np.ndarray
-    self_raw: float
     sq: float
     task: int
 
 
+def require_normalized(spec: KernelSpec):
+    """The learners' kernels: normalized, or gaussian (already so)."""
+    if not spec.normalize and spec.kind != "gaussian":
+        raise ValueError("learners require a normalized kernel (`:norm`)")
+
+
+def folded_dim(dim, spec: KernelSpec):
+    """Query length of a `dim`-feature stream (see `make_queries`)."""
+    return dim + int(spec.kind == "polynomial" and spec.offset > 0)
+
+
 def make_queries(stream, spec: KernelSpec):
-    """Queries of every row of a DatasetStream, all in one form.
+    """Queries of every row of a DatasetStream, all in one form, each folded
+    into a kernel `require_normalized` accepts so that the kernel is a power
+    of the plain dot product: `linear:norm` stores x / |x|, `poly:p:c:norm`
+    (x, sqrt(c)) / sqrt(|x|^2 + c), whose extra coordinate is feature id d
+    and exists only when c > 0, and a gaussian keeps x.
 
     The form follows the mean density of the rows: below SPARSE_DENSITY a
     kernel column reads the stored vectors only at the query's nonzeros, which
-    costs O(B * nnz) instead of the dense row's O(B * d). A sparse query's
-    arrays are views into one zero-based copy of the stream's ids and into
-    its values; a dense query's row is a view into one n x d scatter of the
-    stream. All of them are read-only.
-
-    Under a normalized kernel a zero-norm instance raises ZeroNormInstance
-    naming its position (1-based) and task. A raw self kernel whose square
-    is not finite raises NumericalFailure: no kernel value, normalized or
-    not, could then be trusted.
+    costs O(B * nnz) instead of the dense row's O(B * d). Sparse queries are
+    views into one copy of the folded CSR arrays, dense ones rows of one n x d
+    array, all read-only. A zero-norm instance raises ZeroNormInstance, and a
+    raw self kernel whose square is not finite NumericalFailure, naming its
+    position and task.
     """
+    require_normalized(spec)
     n, dim, indptr = len(stream), stream.d, stream.indptr
     sparse = stream.ids.size < SPARSE_DENSITY * dim * n
+    row_of = np.repeat(np.arange(n), np.diff(indptr))
+    idx, values, norm = stream.ids - 1, stream.values, None
+    sq = np.bincount(row_of, values * values, minlength=n)
+    if spec.kind != "gaussian":
+        offset = spec.offset if spec.kind == "polynomial" else 0.0
+        with np.errstate(over="ignore"):
+            raw = sq if spec.kind == "linear" else (sq + offset) ** spec.degree
+            bad = np.flatnonzero((raw <= 0.0) | ~np.isfinite(raw * raw))
+        if bad.size:
+            row = bad[0]
+            where = "example %d (task %d)" % (row + 1, stream.tasks[row])
+            if raw[row] <= 0.0:
+                raise ZeroNormInstance("%s has zero norm, which a normalized kernel "
+                                       "cannot scale" % where)
+            raise NumericalFailure("%s: kernel %s gives the raw self kernel %r, whose "
+                                   "square is not finite"
+                                   % (where, spec.to_string(), float(raw[row])))
+        norm = np.sqrt(sq + offset)
+        sq = np.ones(n)
+    # Both forms hold x / norm and sqrt(offset) / norm, so they agree bitwise.
     if sparse:
-        idx = stream.ids - 1
-        idx.flags.writeable = False
+        if norm is not None:
+            values = values / norm[row_of]
+            if offset:
+                idx = np.insert(idx, indptr[1:], dim)
+                values = np.insert(values, indptr[1:], math.sqrt(offset) / norm)
+                indptr = indptr + np.arange(n + 1)
+        idx.flags.writeable = values.flags.writeable = False
         bounds = indptr.tolist()
-        rows = [(idx[a:b], stream.values[a:b]) for a, b in zip(bounds, bounds[1:])]
+        rows = [(idx[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:])]
     else:
-        X = np.zeros((n, dim))
-        X[np.repeat(np.arange(n), np.diff(indptr)), stream.ids - 1] = stream.values
+        X = np.zeros((n, folded_dim(dim, spec)))
+        X[row_of, idx] = values
+        del row_of, idx     # so that the n queries below are built without them
+        if norm is not None:
+            X[:, dim:] = math.sqrt(offset)     # the extra column, if any
+            X /= norm[:, None]
         X.flags.writeable = False
         rows = [(None, x) for x in X]
-    out = []
-    for pos, ((idx, x), task) in enumerate(zip(rows, stream.tasks.tolist()), start=1):
-        q_self = dense_self_raw(x, spec)
-        if spec.normalize and q_self <= 0.0:
-            raise ZeroNormInstance(
-                "example %d (task %d) has zero norm, which a normalized "
-                "kernel cannot scale" % (pos, task))
-        if not math.isfinite(q_self * q_self):
-            raise NumericalFailure(
-                "example %d (task %d): kernel %s gives the raw self kernel %r, "
-                "whose square is not finite" % (pos, task, spec.to_string(), q_self))
-        # the linear raw self kernel is the squared norm
-        sq = q_self if spec.kind == "linear" else float(np.dot(x, x))
-        out.append(Query(idx, x, q_self, sq, task))
-    return out
+    return [Query(i, x, q_sq, task) for (i, x), q_sq, task
+            in zip(rows, sq.tolist(), stream.tasks.tolist())]
 
 
-def dense_self_raw(x: np.ndarray, spec: KernelSpec) -> float:
-    """Raw self-similarity of one dense row (inf if it overflows)."""
-    if spec.kind == "gaussian":
-        return 1.0
-    sq = float(np.dot(x, x))
-    if spec.kind == "linear":
-        return sq
-    try:
-        return (sq + spec.offset) ** spec.degree
-    except OverflowError:
-        return math.inf
-
-
-def dense_kernel_vector(X: np.ndarray, self_raw: np.ndarray,
-                        sq_norms: np.ndarray, q: np.ndarray,
-                        q_self: float, q_sq: float,
-                        spec: KernelSpec) -> np.ndarray:
-    """Kernel of dense query q against every column of X, honoring normalize.
+def dense_kernel_vector(X: np.ndarray, sq_norms: np.ndarray, q: np.ndarray,
+                        q_sq: float, spec: KernelSpec) -> np.ndarray:
+    """Kernel of the folded query q against every column of X.
 
     X is feature-major, one column per stored vector, as a SlotStore holds
-    them. `self_raw` and `sq_norms` are the per-column raw self kernels and
-    squared norms cached at insertion time; `q_self`, `q_sq` the query
-    counterparts.
+    them; `sq_norms` and `q_sq` are the squared norms the gaussian reads.
     """
     dots = q @ X
     if spec.kind == "linear":
-        raw = dots
-    elif spec.kind == "polynomial":
-        raw = (dots + spec.offset) ** spec.degree
-    else:
-        sq_dist = np.maximum(sq_norms + q_sq - 2.0 * dots, 0.0)
-        raw = np.exp(-spec.gamma * sq_dist)
-    if not spec.normalize:
-        return raw
-    return raw / np.sqrt(self_raw * q_self)
+        return dots
+    if spec.kind == "polynomial":
+        return dots ** spec.degree
+    return np.exp(-spec.gamma * np.maximum(sq_norms + q_sq - 2.0 * dots, 0.0))

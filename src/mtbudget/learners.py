@@ -22,7 +22,7 @@ import numpy as np
 from .active_set import ActiveSet, SlotStore
 from .errors import DomainError, NoFeasibleShrink
 from .graph import TaskGraph, build_interaction_model
-from .kernels import KernelSpec, Query, dense_kernel_vector
+from .kernels import KernelSpec, Query, dense_kernel_vector, folded_dim, require_normalized
 
 ALGORITHMS = ("mtbprj", "mtbprj2", "mtrbp", "mtforg", "perceptron_battery")
 
@@ -47,8 +47,7 @@ class LearnerConfig:
             raise ValueError("budget must be positive")
         if not (math.isfinite(self.eta) and self.eta >= 0):
             raise ValueError("eta must be finite and >= 0, got %r" % self.eta)
-        if not self.kernel.normalize and self.kernel.kind != "gaussian":
-            raise ValueError("learners require a normalized kernel (`:norm`)")
+        require_normalized(self.kernel)
         if self.algorithm == "mtforg" and self.budget <= FORGETRON_MIN_BUDGET:
             warnings.warn("mtforg mistake bound needs B > %d (got B=%d)"
                           % (FORGETRON_MIN_BUDGET, self.budget))
@@ -204,7 +203,7 @@ class PerceptronBattery:
         self.config = config
         self.spec = config.kernel
         self.k = config.graph.k
-        self._stores = [SlotStore(dim, 16) for _ in range(self.k)]
+        self._stores = [SlotStore(folded_dim(dim, self.spec), 16) for _ in range(self.k)]
         self._w = [np.zeros(16) for _ in range(self.k)]
         self._count = [0] * self.k
         self.mistakes = 0
@@ -215,8 +214,7 @@ class PerceptronBattery:
         score = 0.0
         if n:
             store = self._stores[t]
-            base = dense_kernel_vector(store.block(query, n), store.self_raw[:n],
-                                       store.sq[:n], query.x, query.self_raw,
+            base = dense_kernel_vector(store.block(query, n), store.sq[:n], query.x,
                                        query.sq, self.spec)
             score = float(np.dot(self._w[t][:n], base))
         mistake = y * score <= 0

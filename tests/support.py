@@ -3,8 +3,9 @@
 Learners and the active set take `kernels.Query` objects only. `queries_of`
 builds the queries of a list of instances the way `run_stream` builds a
 stream's, from a stream of them; `labelled` pairs them with their labels
-for a test to step a learner on; `instance_of` turns a stored query back into the
-instance the brute-force `mt_kernel` / `base_kernel` oracles take.
+for a test to step a learner on; `dense_of` gives a sparse query's dense form;
+`instance_of` turns a stored query back into the instance the brute-force
+`mt_kernel` / `base_kernel` oracles take.
 `kernel_column` and `stored_vectors` read an active set's kernel column and
 its store's vectors, which the package itself never needs whole.
 `interaction_of` builds a graph's I + L, and `components_of` its connected
@@ -18,7 +19,8 @@ import numpy as np
 
 from mtbudget.data import DatasetStream
 from mtbudget.errors import ParseError, TaskOutOfRange
-from mtbudget.kernels import MultitaskInstance, SparseVector, make_queries
+from mtbudget.kernels import (MultitaskInstance, Query, SparseVector, folded_dim,
+                              make_queries)
 
 
 def queries_of(instances, dim, spec):
@@ -39,13 +41,26 @@ def query_of(inst, dim, spec):
     return queries_of([inst], dim, spec)[0]
 
 
-def instance_of(query):
-    """The instance a query describes (its dense zeros dropped)."""
+def dense_of(query, dim, spec):
+    """The dense form of a query of a `dim`-feature stream: the row
+    `make_queries` builds for a dense stream."""
     if query.idx is None:
-        x = SparseVector.from_dense(query.x)
-    else:
-        x = SparseVector(query.idx + 1, query.x)
-    return MultitaskInstance(x, query.task)
+        return query
+    x = np.zeros(folded_dim(dim, spec))
+    x[query.idx] = query.x
+    return Query(None, x, query.sq, query.task)
+
+
+def instance_of(query, spec):
+    """The instance a query describes (its dense zeros dropped), up to a
+    scale no normalized kernel sees. `make_queries` stores a polynomial
+    offset c as a last coordinate sqrt(c) / s, which gives the scale s back
+    to undo, and drops it."""
+    idx = np.flatnonzero(query.x) if query.idx is None else query.idx
+    x = query.x[idx] if query.idx is None else query.x
+    if spec.kind == "polynomial" and spec.offset > 0:
+        idx, x = idx[:-1], x[:-1] * (math.sqrt(spec.offset) / x[-1])
+    return MultitaskInstance(SparseVector(idx + 1, x), query.task)
 
 
 def kernel_column(s, query):

@@ -88,7 +88,7 @@ class TestCriterion3ActiveSetOracle:
                                           int(rng.integers(1, k + 1))), d, LINEAR)
 
     def _oracle_gram(self, s, model):
-        stored = [instance_of(s.query(j)) for j in range(len(s))]
+        stored = [instance_of(s.query(j), LINEAR) for j in range(len(s))]
         return np.array([[mt_kernel(a, b, model, LINEAR) for b in stored]
                          for a in stored])
 

@@ -29,7 +29,7 @@ def make_set(budget=10, dim=6, mode="multitask", spec=SPEC, model=MODEL):
 
 def oracle(s, a, b):
     """The configured kernel of two queries, by brute force."""
-    a, b = instance_of(a), instance_of(b)
+    a, b = instance_of(a, s.spec), instance_of(b, s.spec)
     if s.kernel_mode == "multitask":
         return mt_kernel(a, b, s.model, s.spec)
     return base_kernel(a.x, b.x, s.spec)
@@ -49,7 +49,7 @@ def inverse_error(s, G=None):
 def near_twin(rng, q, resid_sq=4e-10, spec=SPEC):
     """A query of q's task whose squared residual against q alone is
     about `resid_sq`: just above the Schur floor of 1e-10 by default."""
-    x = instance_of(q).x.to_dense(q.x.size)
+    x = instance_of(q, spec).x.to_dense(q.x.size)
     u = rng.normal(size=x.size)
     u -= (u @ x) / (x @ x) * x
     tilt = np.sqrt(resid_sq / MODEL.inverse[q.task - 1, q.task - 1])

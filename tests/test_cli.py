@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mtbudget import cli
 from mtbudget.cli import main
 from mtbudget.data import parse_dataset
 
@@ -110,6 +111,8 @@ class TestRun:
          "example 1 (task 1): kernel poly:2000:1:norm gives the raw self kernel inf"),
         (("--kernel", "poly:600:1:norm"),
          "example 1 (task 1): kernel poly:600:1:norm gives the raw self kernel 4.1"),
+        (("--k", "0"), "--k must be at least 1, got 0"),     # once ran on the stream's k
+        (("--k", "-2"), "--k must be at least 1, got -2"),
     ])
     def test_bad_input_fails_cleanly(self, capsys, argv, message):
         # each of these once ran to exit 0 on a meaningless run, or ended
@@ -126,6 +129,21 @@ class TestRun:
         assert capsys.readouterr().err == (
             "error: the stream has 3 tasks but the graph has only 2\n")
 
+    @pytest.mark.parametrize("command", ["run", "baseline"])
+    def test_task_ids_with_gaps_need_k(self, capsys, tmp_path, monkeypatch, command):
+        # a mistyped task id once sized a graph of 10^12 tasks
+        def no_graph(*args):
+            raise AssertionError("a graph was built")
+        monkeypatch.setattr(cli, "resolve_graph", no_graph)
+        monkeypatch.setattr(cli.TaskGraph, "edgeless", staticmethod(no_graph))
+        p = tmp_path / "typo.mtsvm"
+        p.write_text("1 +1 1:1.0\n1000000000000 -1 1:2.0\n")
+        argv = ["--algo", "mtrbp", "--graph", "complete"] if command == "run" else []
+        assert main([command, "--data", str(p), *argv]) == 1
+        assert capsys.readouterr().err == (
+            "error: the largest task id is 1000000000000 but only 2 distinct tasks "
+            "appear; give the task count with --k\n")
+
     def test_missing_stream_source_fails(self, capsys):
         code = main(["run", "--algo", "mtrbp", "--graph", "complete",
                      "--budget", "10"])
@@ -139,6 +157,10 @@ class TestRun:
 
 
 class TestBaseline:
+    def test_k_below_one_rejected(self, capsys):
+        assert main(["baseline", "--synth", SYNTH, "--k", "0"]) == 1
+        assert capsys.readouterr().err == "error: --k must be at least 1, got 0\n"
+
     def test_reports_battery_counters(self, capsys):
         code, out = run_cli(capsys, "baseline", "--synth", SYNTH)
         assert code == 0

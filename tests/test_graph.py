@@ -128,6 +128,17 @@ class TestInteractionModel:
         assert m.inverse.shape == (1, 1) and m.inverse[0, 0] == pytest.approx(1.0)
         assert m.cG == pytest.approx(1.0)
 
+    def test_inverse_is_exactly_symmetric(self):
+        # ActiveSet reads M's column t as its row t
+        rng = np.random.default_rng(12)
+        graphs = [TaskGraph.complete(k) for k in (2, 3, 7, 40)]
+        graphs += [TaskGraph.path(k) for k in (2, 5, 40)]
+        graphs += [random_graph(int(rng.integers(2, 40)), rng.uniform(0.05, 0.9), rng)
+                   for _ in range(20)]
+        for g in graphs:
+            M = build_interaction_model(g).inverse
+            assert np.array_equal(M, M.T)
+
     def test_inverse_residual(self):
         rng = np.random.default_rng(11)
         for _ in range(30):

@@ -5,8 +5,9 @@ from mtbudget.data import DatasetStream
 from mtbudget.errors import NumericalFailure, ZeroNormInstance
 from mtbudget.graph import TaskGraph, build_interaction_model
 from mtbudget.kernels import (KernelSpec, MultitaskInstance, SparseVector,
-                              base_kernel, dense_kernel_vector,
-                              dense_self_raw, make_queries, mt_kernel)
+                              base_kernel, dense_kernel_vector, make_queries,
+                              mt_kernel)
+from support import dense_of, queries_of
 
 
 def sv(*pairs):
@@ -147,26 +148,31 @@ class TestExampleTypes:
 
 
 class TestDenseFastPaths:
-    @pytest.mark.parametrize("text", ["linear:norm", "poly:2:1:norm", "gauss:0.7"])
+    @pytest.mark.parametrize("text", ["linear:norm", "poly:2:1:norm", "poly:2:0:norm",
+                                      "poly:3:1:norm", "gauss:0.7"])
     def test_vector_matches_base_kernel(self, text):
+        """Folded queries against folded stored vectors: a dense query reads
+        every stored row, a sparse one the rows at its nonzeros."""
         spec = KernelSpec.parse(text)
-        rng = np.random.default_rng(10)
-        rows = rng.normal(size=(6, 5))
-        q = rng.normal(size=5)
-        self_raw = np.array([dense_self_raw(r, spec) for r in rows])
-        sq = np.array([float(r @ r) for r in rows])
-        got = dense_kernel_vector(rows.T, self_raw, sq, q, dense_self_raw(q, spec),
-                                  float(q @ q), spec)
-        for i, r in enumerate(rows):
-            expect = base_kernel(SparseVector.from_dense(r),
-                                 SparseVector.from_dense(q), spec)
-            assert got[i] == pytest.approx(expect, abs=1e-12)
+        for d in (5, 400):      # dense queries, then sparse ones
+            rng = np.random.default_rng(10)
+            pool = rng.choice(d, 5, replace=False) + 1
+            rows = [SparseVector(np.sort(rng.choice(pool, 4, replace=False)),
+                                 rng.normal(size=4)) for _ in range(7)]
+            queries = queries_of([MultitaskInstance(x, 1) for x in rows], d, spec)
+            assert all((q.idx is None) == (d == 5) for q in queries)
+            *stored, q = queries
+            X = np.array([dense_of(s, d, spec).x for s in stored]).T
+            got = dense_kernel_vector(X if q.idx is None else X[q.idx],
+                                      np.array([s.sq for s in stored]), q.x, q.sq, spec)
+            for i, r in enumerate(rows[:-1]):
+                assert got[i] == pytest.approx(base_kernel(r, rows[-1], spec), abs=1e-12)
 
 
 class TestSelfKernelRange:
     @pytest.mark.parametrize("text, d", [("poly:2000:1:norm", 10),   # overflows
                                          ("poly:600:1:norm", 10),    # its square does
-                                         ("linear", 300)])           # sparse form
+                                         ("linear:norm", 300)])      # sparse form
     def test_non_finite_square_names_example(self, text, d):
         # unit rows: (1 + 1)^2000 ended in an OverflowError traceback;
         # (1 + 1)^600 is finite, but sqrt(self * self) of the normalization
@@ -174,15 +180,20 @@ class TestSelfKernelRange:
         rng = np.random.default_rng(0)
         rows = [MultitaskInstance(SparseVector.from_dense(r / np.linalg.norm(r)), 2)
                 for r in rng.normal(size=(3, 10))]
-        if text == "linear":
+        if text == "linear:norm":
             rows[1] = MultitaskInstance(sv((4, 1e100)), 2)
         stream = DatasetStream(rows, np.ones(3), 2, d)
-        name = r"example %d \(task 2\): kernel %s" % (2 if text == "linear" else 1, text)
+        name = r"example %d \(task 2\): kernel %s" % (2 if text == "linear:norm" else 1,
+                                                      text)
         with pytest.raises(NumericalFailure, match=name):
             make_queries(stream, KernelSpec.parse(text))
 
     def test_large_finite_degree_still_runs(self):
         stream = DatasetStream([MultitaskInstance(sv((1, 1.0), (2, 1.0)), 1)],
                                np.ones(1), 1, 2)
-        (q,) = make_queries(stream, KernelSpec.parse("poly:300:1:norm"))
-        assert q.self_raw == 3.0 ** 300
+        spec = KernelSpec.parse("poly:300:1:norm")
+        (q,) = make_queries(stream, spec)
+        # (3 ** 300) ** 2 is finite: the query folds to (1, 1, 1) / sqrt(3)
+        assert np.allclose(q.x, np.full(3, 3.0 ** -0.5), rtol=0, atol=1e-15)
+        self_kernel = dense_kernel_vector(q.x[:, None], np.ones(1), q.x, q.sq, spec)
+        assert self_kernel[0] == pytest.approx(1.0, abs=1e-12)

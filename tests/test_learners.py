@@ -9,12 +9,12 @@ from mtbudget.active_set import ActiveSet
 from mtbudget.data import generate_synthetic
 from mtbudget.errors import DomainError
 from mtbudget.graph import TaskGraph, build_interaction_model
-from mtbudget.kernels import (KernelSpec, MultitaskInstance, Query, SparseVector,
-                              base_kernel, dense_self_raw, mt_kernel)
+from mtbudget.kernels import (KernelSpec, MultitaskInstance, SparseVector,
+                              base_kernel, mt_kernel)
 from mtbudget.learners import (DEFICIT_FRAC, LearnerConfig, PerceptronBattery,
                                compute_phi, make_learner, mtforg_bound,
                                mtrbp_bound)
-from support import instance_of, labelled
+from support import dense_of, instance_of, labelled
 
 SPEC = KernelSpec("linear", normalize=True)
 
@@ -44,7 +44,7 @@ def stream_examples(stream):
 
 def mt_oracle(a, b, model):
     """The multitask kernel of two queries, by brute force."""
-    return mt_kernel(instance_of(a), instance_of(b), model, SPEC)
+    return mt_kernel(instance_of(a, SPEC), instance_of(b, SPEC), model, SPEC)
 
 
 def grid_phi(a, b, C):
@@ -462,13 +462,10 @@ class TestBattery:
             x = SparseVector(np.sort(rng.choice(pool, nnz, replace=False)),
                              rng.random(nnz))
             inst, y = MultitaskInstance(x, i % k + 1), int(rng.choice((-1, 1)))
+            (query, _), = labelled([inst], [y], d, spec)
+            assert query.idx is not None
             if dense_every and i % dense_every == 0:
-                dense = x.to_dense(d)
-                query = Query(None, dense, dense_self_raw(dense, spec),
-                              float(dense @ dense), inst.task)
-            else:
-                (query, _), = labelled([inst], [y], d, spec)
-                assert query.idx is not None
+                query = dense_of(query, d, spec)
             want = sum(yj * base_kernel(xj, x, spec) for xj, yj in made[i % k])
             out = learner.step(query, y)
             assert abs(out.score - want) <= 1e-9

@@ -12,16 +12,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mtbudget import harness
+from mtbudget import harness, kernels
 from mtbudget.active_set import ActiveSet
 from mtbudget.data import DatasetStream
 from mtbudget.errors import NumericalFailure, ZeroNormInstance
 from mtbudget.graph import TaskGraph, build_interaction_model
-from mtbudget.kernels import (KernelSpec, MultitaskInstance, Query, SparseVector,
-                              base_kernel, dense_self_raw, make_queries,
-                              mt_kernel)
+from mtbudget.kernels import (KernelSpec, MultitaskInstance, SparseVector,
+                              base_kernel, make_queries, mt_kernel)
 from mtbudget.learners import ALGORITHMS, LearnerConfig, make_learner
-from support import (instance_of, kernel_column, queries_of, query_of,
+from support import (dense_of, instance_of, kernel_column, queries_of, query_of,
                      stored_vectors)
 
 D = 5000
@@ -46,12 +45,11 @@ def sparse_instance(rng, like=None):
 
 
 def dense_query(inst, dim, spec):
-    x = inst.x.to_dense(dim)
-    return Query(None, x, dense_self_raw(x, spec), float(np.dot(x, x)), inst.task)
+    return dense_of(query_of(inst, dim, spec), dim, spec)
 
 
 def entries(s):
-    return [instance_of(s.query(j)) for j in range(len(s))]
+    return [instance_of(s.query(j), s.spec) for j in range(len(s))]
 
 
 def oracle_base(s, q):
@@ -151,7 +149,8 @@ class TestSlotStore:
         s.insert(query, 1.0)
         assert s._hi == 3
         assert np.array_equal(stored_vectors(s._store)[:, 1:3], stored[:, 1:3])
-        assert np.array_equal(stored_vectors(s._store)[:, 0], q.x.to_dense(D))
+        assert np.array_equal(stored_vectors(s._store)[:, 0],
+                              dense_of(query, D, SPECS["linear"]).x)
         assert [s.query(j) for j in range(3)][-1] is query
 
 
@@ -166,13 +165,30 @@ class TestQueryForm:
                  for _ in range(5)]
         assert all(q.idx is None for q in queries_of(dense, 8, SPECS["linear"]))
 
+    @pytest.mark.parametrize("text", ["linear:norm", "poly:3:1:norm", "poly:2:0:norm",
+                                      "gauss:0.3"])
+    def test_forms_hold_the_same_folded_values(self, text, monkeypatch):
+        rng = np.random.default_rng(3)
+        insts = [sparse_instance(rng) for _ in range(20)]
+        spec = KernelSpec.parse(text)
+        monkeypatch.setattr(kernels, "SPARSE_DENSITY", 1.0)
+        sparse = queries_of(insts, D, spec)
+        monkeypatch.setattr(kernels, "SPARSE_DENSITY", 0.0)
+        dense = queries_of(insts, D, spec)
+        assert sparse[0].idx is not None and dense[0].idx is None
+        for a, b in zip(sparse, dense):
+            assert np.array_equal(dense_of(a, D, spec).x, b.x) and a.sq == b.sq
+
     def test_zero_norm_names_position_and_task(self):
         rng = np.random.default_rng(2)
         insts = [sparse_instance(rng), MultitaskInstance(SparseVector.from_pairs([]), 3)]
         with pytest.raises(ZeroNormInstance, match=r"example 2 \(task 3\)"):
             queries_of(insts, D, SPECS["linear"])
-        # unnormalized kernels have no scale to divide by
-        assert queries_of(insts, D, KernelSpec("linear"))[1].self_raw == 0.0
+        # the gaussian has no scale to divide by; an unnormalized linear
+        # kernel is refused whatever its rows
+        assert queries_of(insts, D, SPECS["gauss"])[1].sq == 0.0
+        with pytest.raises(ValueError, match=":norm"):
+            queries_of(insts[:1], D, KernelSpec("linear"))
 
 
 def sparse_stream(n=300, d=400, nnz=8, k=K, seed=0):
@@ -231,9 +247,10 @@ def test_harness_matches_stepping_without_queries(algo, monkeypatch):
 
 
 class TestCompactRows:
-    """At d = 10^6 a store holds a float row only for the features its
-    vectors have used (rows grow by doubling, so at most 1 + 2F are
-    allocated for F features), never one per feature of d."""
+    """At d = 10^6 a store holds a float row only for features its vectors
+    have used (at most 1 + 2F rows allocated for the F features of every
+    vector it ever held), never one per feature of d; and rows of features
+    no held vector uses any more are reclaimed."""
 
     DIM = 10 ** 6
 
@@ -246,8 +263,12 @@ class TestCompactRows:
 
     @staticmethod
     def check_rows(store, stored):
+        """`stored`: every query the store was ever given."""
         features = len(set().union(*(q.idx.tolist() for q in stored)))
-        assert store.rows == 1 + features
+        held = [q for q in store.queries if q is not None]
+        rows = store.row[np.unique(np.concatenate([q.idx for q in held]))]
+        assert rows.all() and np.unique(rows).size == rows.size
+        assert 1 + rows.size <= store.rows <= 1 + features
         assert store.X.shape[0] <= 1 + 2 * features
 
     def test_active_set(self):
@@ -272,3 +293,32 @@ class TestCompactRows:
         assert all(stored)
         for store, queries in zip(battery._stores, stored):
             self.check_rows(store, queries)
+            # a battery never drops a vector: every feature keeps its row
+            assert store.rows == 1 + len(set().union(*(q.idx.tolist() for q in queries)))
+
+    def test_vocabulary_shift_keeps_rows_bounded(self):
+        """2 * 10^4 inserts with random evictions, drawing 10 of 300
+        features from a window that moves every 10^3 steps: the store's rows
+        track the features the held vectors use, not all 6000 ever seen. A
+        rebuild leaves at least the live features' count of rows free, over
+        100 after the first steps, so it comes at most once per 10 steps."""
+        n, nnz, vocab = 20000, 10, 300
+        rng = np.random.default_rng(7)
+        ids = np.concatenate([np.sort(rng.choice(vocab, nnz, replace=False))
+                              + vocab * (i // 1000) + 1 for i in range(n)])
+        stream = DatasetStream((np.arange(n + 1) * nnz, ids, rng.random(n * nnz),
+                                np.arange(n) % K + 1), np.ones(n), K, self.DIM)
+        s = ActiveSet(16, self.DIM, SPECS["linear"], MODEL, maintain_inverse=False)
+        rebuilds, X = 0, None
+        for step, q in enumerate(make_queries(stream, SPECS["linear"]), start=1):
+            full = len(s) >= s.budget
+            s.insert(q, 1.0, force=full)
+            if full:
+                s.evict(int(rng.integers(len(s))))
+            if s._store.X is not X:
+                rebuilds, X = rebuilds + 1, s._store.X
+            if step % 100 == 0:
+                held = [h.idx for h in s._store.queries if h is not None]
+                live = np.unique(np.concatenate(held)).size
+                assert s._store.X.shape[0] <= 4 * (1 + live), step
+        assert rebuilds <= n // nnz
