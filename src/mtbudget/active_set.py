@@ -1,11 +1,25 @@
-"""Budgeted active set with an incrementally maintained inverse H^-1 of its
-Gram matrix H, and the slot store that holds stored vectors for it and
-for the Perceptron battery.
+"""Budgeted active set in one slot index space, with an incrementally
+maintained B x B matrix (the Gram matrix H or its inverse H^-1), and the
+slot store that holds stored vectors for it and for the Perceptron battery.
 
-Prediction, projection, insertion and eviction all run in O(B^2) or
-better once the inverse is current: insertion borders H^-1 with the
-Schur complement of the new column, eviction applies the rank-1
-downdate of the deleted row/column. H itself is never kept.
+An entry sits in a slot that never moves, with its stored vector, task,
+weight, and row and column of the kept matrix. Weights, projection and
+back-projection coefficients and leave-one-out residuals are arrays by
+slot, so a predict is one dot with no gather. A free slot holds weight 0
+and zero coefficients until an insert reuses it; its other per-slot values
+mean nothing. `order`, the live slots oldest first, is the only record of
+insertion order.
+
+With H^-1, every operation runs in O(B^2) or better: insertion borders
+H^-1 with the Schur complement of the new column, eviction applies the
+rank-1 downdate of the deleted row/column. An insert leaves its border
+pending, as the bordering vector a (H^-1 times the new column, with -1 at
+the new slot) and the Schur complement delta, so H^-1 is the stored block
+plus a a^T / delta. The leave-one-out residuals read that sum's diagonal,
+and an eviction folds border and downdate into H^-1 as one rank-2
+product; any other reader folds the border in first. With H, an insert
+writes its slot's row and column from the column the same query's predict
+computed, so a stored entry's score is one O(B) dot.
 
 One numerical floor, _SCHUR_MIN, guards the inverse. The Schur complement
 of an insert is the squared residual of projecting the query onto the
@@ -15,27 +29,12 @@ insert whose Schur complement is below the floor raises NumericalFailure
 and leaves the set unchanged. A learner inserts only when the residual of
 the projection just before is above eta, so it never hits the floor.
 
-Entries keep insertion order: an insert appends, an eviction closes the
-gap, so entry 0 is always the earliest insert still held and no entry
-carries a timestamp.
-Stored feature vectors, and the rows and columns of H^-1, sit in physical
-slots that never move; an entry-order slot map gives each entry's slot.
-Eviction frees a slot and zeroes its row and column of H^-1, shifting
-only the O(B) per-entry arrays; the next insert reuses the slot. The
-vectors live in a SlotStore: feature-major, one column per slot, with a
-row only for the features the stored vectors use, so a sparse query's
+The vectors live in a SlotStore: feature-major, one column per slot, with
+a row only for the features the stored vectors use, so a sparse query's
 kernel column reads one short contiguous run per nonzero feature and
-memory is O(d + F * capacity) for F distinct stored features.
-Queries come folded into the normalized kernel, so a column is one gemv and
-its task coupling one `take` from row t of M; no k x B table is kept.
-
-An insert leaves its border of H^-1 pending, as the bordering vector a
-(H^-1 times the new column, with -1 at the new slot) and the Schur
-complement delta, so H^-1 is the stored block plus a a^T / delta. The
-leave-one-out residuals read that sum's diagonal, and an eviction folds
-the border and its own downdate into H^-1 as one rank-2 product; any
-other reader folds the border in first. A full-budget insert plus evict
-thus costs one rank-2 update of H^-1.
+memory is O(d + F * capacity) for F distinct stored features. Queries come
+folded into the normalized kernel, so a column is one gemv and its task
+coupling one `take` from row t of M; no k x B table is kept.
 """
 
 from __future__ import annotations
@@ -156,78 +155,65 @@ class SlotStore:
 
 
 class ActiveSet:
-    """Ordered budgeted store of multitask instances plus weights.
+    """Budgeted store of multitask instances plus weights, by slot.
 
     kernel_mode "multitask": Gram entries are M[task_i, task_j] * K'(x_i, x_j)
-    and weights are one scalar per entry. kernel_mode "single": Gram entries
+    and weights are one scalar per slot. kernel_mode "single": Gram entries
     are K'(x_i, x_j), task markers are ignored by projections, and weights
-    form a k x |S| matrix (one prediction function per task).
+    form a k x slots matrix (one prediction function per task).
 
     Every operation takes the instance as a kernels.Query (features folded
-    into the normalized kernel, and task), built once by `make_queries`."""
+    into the normalized kernel, and task), built once by `make_queries`.
+    `keeps` names the B x B matrix kept: "inverse" (H^-1), "gram" (H) or None."""
 
     def __init__(self, budget, dim, spec: KernelSpec, model: InteractionModel,
-                 kernel_mode="multitask", maintain_inverse=True):
+                 kernel_mode="multitask", keeps="inverse"):
         if budget < 1:
             raise ValueError("budget must be positive")
         if kernel_mode not in ("multitask", "single"):
             raise ValueError("bad kernel_mode %r" % kernel_mode)
+        if keeps not in ("inverse", "gram", None):
+            raise ValueError("bad keeps %r" % (keeps,))
         require_normalized(spec)
         self.budget = int(budget)
         self.spec = spec
         self.model = model
         self.kernel_mode = kernel_mode
-        self.maintain_inverse = maintain_inverse
         self.n = 0
         self._cap = min(16, self.budget + 1)
         # Per slot, never moved: the stored vector (with its squared norm
-        # and Query), its zero-based task, and the slot's row and column of
-        # H^-1.
+        # and Query), its zero-based task, its weight, and its row and
+        # column of the kept matrix.
         self._store = SlotStore(folded_dim(int(dim), spec), self._cap)
         self._tasks = np.zeros(self._cap, dtype=np.int64)
+        self._W = np.zeros((model.k, self._cap) if kernel_mode == "single" else self._cap)
+        self._Hinv = np.zeros((self._cap,) * 2) if keeps == "inverse" else None
+        self._H = np.zeros((self._cap,) * 2) if keeps == "gram" else None
         self._hi = 0        # slots ever used
         self._free = []     # slots below _hi that hold no entry
-        self._in_order = True   # until the first eviction, slot j holds entry j
-        # Per entry, in insertion order.
-        self._slot = np.zeros(self._cap, dtype=np.int64)
-        if kernel_mode == "single":
-            self._W = np.zeros((model.k, self._cap))
-        else:
-            self._W = np.zeros(self._cap)
-        self._Hinv = np.zeros((self._cap, self._cap)) if maintain_inverse else None
+        self._order = np.zeros(self._cap, dtype=np.intp)   # live slots, oldest first
         self._border = None     # (a, delta) of an insert not yet in _Hinv
         self._last = None       # the last predict's or projection's terms
 
     # -- views ---------------------------------------------------------
 
     @property
-    def tasks(self):
-        return self._logical(self._tasks) + 1
-
-    @property
     def weights(self):
-        """Live view; mutate in place, never keep across inserts."""
-        return self._W[..., :self.n]
+        """Live view by slot; mutate in place, never keep across inserts."""
+        return self._W[..., :self._hi]
 
     @property
-    def gram_inv(self):
-        """Copy of H^-1 in entry order."""
-        self._settle()
-        slots = self._slot[:self.n]
-        return self._Hinv[np.ix_(slots, slots)]
+    def order(self):
+        """The live slots in insertion order: order[0] is the oldest entry."""
+        return self._order[:self.n]
 
-    def query(self, j):
-        """The Query entry j was inserted with."""
-        return self._store.queries[self._slot[j]]
+    @property
+    def slot_tasks(self):
+        """Zero-based task of each used slot."""
+        return self._tasks[:self._hi]
 
     def __len__(self):
         return self.n
-
-    def _logical(self, per_slot):
-        """Entry-order values of a per-slot array."""
-        if self._in_order:
-            return per_slot[:self.n]
-        return per_slot[self._slot[:self.n]]
 
     # -- kernel plumbing ----------------------------------------------
 
@@ -235,8 +221,8 @@ class ActiveSet:
         """Configured-kernel values of a query against every used slot.
 
         The kernel runs on the store's rows at the query's nonzeros (sparse)
-        or on all of them (dense). Free slots get values too; their rows and
-        columns of H^-1 are zero, so they drop out of every product.
+        or on all of them (dense). Free slots get values too; their zero
+        weights and rows of H^-1 drop them out of every product.
         """
         hi = self._hi
         store = self._store
@@ -247,25 +233,29 @@ class ActiveSet:
             col *= self.model.inverse[query.task - 1].take(self._tasks[:hi])
         return col
 
+    def _column(self, query: Query):
+        """The query's slot column: the last predict's or projection's when
+        it was of this query, and no kernel call for an empty set."""
+        if self._last and self._last[0] is query:
+            return self._last[1]
+        if self.n == 0:
+            return np.zeros(self._hi)
+        return self._slot_column(query)
+
     def _column_terms(self, query: Query):
-        """alpha = H^-1 times the query's slot-order kernel column, and the
-        Schur complement delta = k_qq - column . alpha, which is the squared
+        """alpha = H^-1 times the query's slot column, and the Schur
+        complement delta = k_qq - column . alpha, which is the squared
         residual of projecting the query onto the span.
 
         A projection right after the predict of the same query reuses its
         column, and an insert right after the projection reuses both terms:
         every insert and evict clears them.
         """
-        last = self._last if self._last and self._last[0] is query else None
-        if last and last[2] is not None:
-            return last[2:]
+        if self._last and self._last[0] is query and self._last[2] is not None:
+            return self._last[2:]
         self._settle()
-        hi = self._hi
-        if self.n == 0:
-            col = alpha = np.zeros(hi)
-        else:
-            col = last[1] if last else self._slot_column(query)
-            alpha = self._Hinv[:hi, :hi] @ col
+        col = self._column(query)
+        alpha = self._Hinv[:self._hi, :self._hi] @ col
         delta = self.self_kernel(query) - float(np.dot(col, alpha))
         self._last = (query, col, alpha, delta)
         return alpha, delta
@@ -277,76 +267,84 @@ class ActiveSet:
             return float(self.model.inverse[query.task - 1, query.task - 1])
         return 1.0
 
+    def _weights_for(self, task):
+        """The weights that score an example of `task` (one-based)."""
+        w = self._W if self.kernel_mode == "multitask" else self._W[task - 1]
+        return w[:self._hi]
+
     # -- public operations --------------------------------------------
 
     def predict(self, query: Query) -> float:
-        n = self.n
-        if n == 0:
+        if self.n == 0:
             return 0.0
         col = self._slot_column(query)
         self._last = (query, col, None, None)
-        col = self._logical(col)
-        if self.kernel_mode == "multitask":
-            return float(np.dot(self._W[:n], col))
-        return float(np.dot(self._W[query.task - 1, :n], col))
+        return float(np.dot(self._weights_for(query.task), col))
+
+    def stored_score(self, slot) -> float:
+        """The predictor's score on the entry in `slot`, from its row of the
+        kept H: no kernel column is computed."""
+        return float(np.dot(self._weights_for(self._tasks[slot] + 1),
+                            self._H[slot, :self._hi]))
 
     def projection(self, query: Query):
-        """(alphas, residual norm) of the query's kernel function onto the
-        span; the residual is 0 when its square is below the Schur floor."""
+        """(alphas by slot, residual norm) of the query's kernel function
+        onto the span; the residual is 0 when its square is below the
+        Schur floor."""
         alpha, resid_sq = self._column_terms(query)
         resid = 0.0 if resid_sq < _SCHUR_MIN else float(np.sqrt(resid_sq))
-        return self._logical(alpha), resid
+        return alpha, resid
 
     def insert(self, query: Query, weight, force=False):
-        """Append the query; `weight` is a scalar or, in single mode, a
-        k-column. Raises NumericalFailure, leaving the set unchanged, when
-        the query's Schur complement is below the floor."""
+        """Add the query as the newest entry; `weight` is a scalar or, in
+        single mode, a k-column. Raises NumericalFailure, leaving the set
+        unchanged, when the query's Schur complement is below the floor."""
         if self.n >= self.budget and not force:
             raise BudgetFull("active set already holds %d entries" % self.n)
-        if self.maintain_inverse:
+        if self._Hinv is not None:
             alpha, delta = self._column_terms(query)
             if delta < _SCHUR_MIN:
                 raise NumericalFailure(
                     "Schur complement %.3g of the insert is below the floor "
                     "%g: the query is already in the span" % (delta, _SCHUR_MIN))
+        elif self._H is not None:
+            col = self._column(query)
         n = self.n
         if n + 1 > self._cap:
             self._grow()
-        if self._free:
-            slot = self._free.pop()
-        else:
-            slot = self._hi
-            self._hi += 1
+        slot = self._free.pop() if self._free else self._hi
+        self._hi = max(self._hi, slot + 1)
         self._store.write(slot, query)
         self._tasks[slot] = query.task - 1
-        self._slot[n] = slot
-        self._W[..., n] = weight
+        self._order[n] = slot
+        self._W[..., slot] = weight
         self.n = n + 1
         self._last = None
-        if self.maintain_inverse:
+        if self._Hinv is not None:
             a = np.zeros(self._hi)
             a[:alpha.size] = alpha
             a[slot] = -1.0
             self._border = (a, delta)
+        elif self._H is not None:
+            self._H[slot, :col.size] = col
+            self._H[:col.size, slot] = col
+            self._H[slot, slot] = self.self_kernel(query)
 
     def evict(self, r):
-        """Remove entry r; return its back-projection coefficients gamma.
-
-        gamma has one coefficient per surviving entry, in the surviving
-        order. With no maintained inverse the return value is None and the
-        removal is a plain deletion. The entry's slot is freed in place.
-        """
+        """Remove the r-th oldest entry, in slot `order[r]`, and free the
+        slot. Return the back-projection coefficients gamma by slot, 0 at
+        free slots and at the evictee's, so adding beta_r * gamma to the
+        weights keeps the predictor's projection; None without H^-1."""
         n = self.n
         if not (0 <= r < n):
             raise IndexError("evict index %d out of range" % r)
-        slot = int(self._slot[r])
+        slot = int(self._order[r])
+        self._order[r:n - 1] = self._order[r + 1:n]
         self._free.append(slot)
-        self._in_order = False
-        self._slot[r:n - 1] = self._slot[r + 1:n]
-        self._W[..., r:n - 1] = self._W[..., r + 1:n]
+        self._W[..., slot] = 0.0
         self.n = n - 1
         self._last = None
-        if not self.maintain_inverse:
+        if self._Hinv is None:
             return None
         # With the pending border, H^-1 is Hinv + a a^T / delta; its column
         # d at the evictee gives the downdate -d d^T / d[slot]. Both go in
@@ -360,11 +358,12 @@ class ActiveSet:
         Hinv += np.array((a / delta, gammas)).T @ np.array((a, d))
         Hinv[slot, :] = 0.0
         Hinv[:, slot] = 0.0
-        return gammas[self._slot[:n - 1]]
+        gammas[slot] = 0.0
+        return gammas
 
     def leave_one_out_residuals(self):
-        """For each j: distance of entry j's kernel function to the span of
-        the others, via residual_j^2 = 1 / (H^-1)_jj."""
+        """By slot: distance of each entry's kernel function to the span of
+        the others, via residual^2 = 1 / (H^-1)_ss."""
         if self.n == 0:
             raise ValueError("empty active set")
         hi = self._hi
@@ -372,7 +371,7 @@ class ActiveSet:
         if self._border is not None:
             a, delta = self._border
             diag = diag + a * a / delta
-        return np.sqrt(1.0 / np.maximum(self._logical(diag), 1e-300))
+        return np.sqrt(1.0 / np.maximum(diag, 1e-300))
 
     # -- maintenance ---------------------------------------------------
 
@@ -385,12 +384,13 @@ class ActiveSet:
 
     def _grow(self):
         """Double the capacity, but stop at budget + 1 (one forced insert
-        past the budget), so the full-budget H^-1 is one contiguous block."""
+        past the budget), so the full-budget matrix is one contiguous block."""
         new_cap = max(self._cap + 1, min(2 * self._cap, self.budget + 1))
         self._store.resize(new_cap)
-        for name in ("_tasks", "_slot"):
-            setattr(self, name, _grown(getattr(self, name), new_cap))
-        self._W = _grown(self._W, self._W.shape[:-1] + (new_cap,))
-        if self.maintain_inverse:
-            self._Hinv = _grown(self._Hinv, (new_cap, new_cap))
+        for name in ("_tasks", "_order", "_W"):
+            arr = getattr(self, name)
+            setattr(self, name, _grown(arr, arr.shape[:-1] + (new_cap,)))
+        for name in ("_Hinv", "_H"):
+            if getattr(self, name) is not None:
+                setattr(self, name, _grown(getattr(self, name), (new_cap, new_cap)))
         self._cap = new_cap

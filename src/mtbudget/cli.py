@@ -127,6 +127,10 @@ def cmd_baseline(args):
 
 
 def cmd_verify_graph(args):
+    if args.k < 1:
+        raise ValueError("--k must be at least 1, got %d" % args.k)
+    if args.trials < 0:
+        raise ValueError("--trials must be at least 0, got %d" % args.trials)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for k in range(1, args.k + 1):

@@ -313,6 +313,9 @@ def generate_synthetic(k, d, n, relatedness, noise, shift_schedule=None,
     scheduled steps; `min_margin` rejection-samples instances whose
     reference score magnitude falls below the margin.
     """
+    for name, value, least in (("k", k, 1), ("d", d, 1), ("n", n, 0)):
+        if value < least:
+            raise ValueError("%s must be at least %d, got %d" % (name, least, value))
     if not 0.0 <= relatedness <= 1.0:
         raise ValueError("relatedness must lie in [0,1]")
     if not 0.0 <= noise < 1.0:

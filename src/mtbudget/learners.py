@@ -64,14 +64,14 @@ class _KernelLearner:
     """Common state: interaction model, active set, mistake counter."""
 
     kernel_mode = "multitask"
-    maintain_inverse = True
+    keeps = "inverse"   # the B x B matrix the active set keeps: H^-1, H or None
 
     def __init__(self, config: LearnerConfig, dim: int):
         self.config = config
         self.model = build_interaction_model(config.graph)
         self.active_set = ActiveSet(config.budget, dim, config.kernel,
                                     self.model, kernel_mode=self.kernel_mode,
-                                    maintain_inverse=self.maintain_inverse)
+                                    keeps=self.keeps)
         self.mistakes = 0
 
     @property
@@ -104,11 +104,12 @@ class MTBudgetProjectron(_KernelLearner):
             s.insert(query, y)
             return "insert"
         s.insert(query, y, force=True)
+        # pre-existing entries, oldest first, so ties go to the earliest insert
+        pre = s.order[:-1]
         beta = s.weights
-        loo = s.leave_one_out_residuals()
-        damage = np.abs(beta[:-1]) * loo[:-1]  # pre-existing entries only
+        damage = (np.abs(beta) * s.leave_one_out_residuals())[pre]
         r = int(np.argmin(damage))
-        beta_r = float(beta[r])
+        beta_r = float(beta[pre[r]])
         gammas = s.evict(r)
         s.weights[:] += beta_r * gammas
         return "insert_evict"
@@ -131,21 +132,20 @@ class MTBudgetProjectron2(_KernelLearner):
             s.insert(query, col)
             return "insert"
         s.insert(query, col, force=True)
+        pre = s.order[:-1]      # as in mtbprj
         W = s.weights
-        loo = s.leave_one_out_residuals()
-        damage = loo[:-1] * np.linalg.norm(W[:, :-1], axis=0)
+        damage = (s.leave_one_out_residuals() * np.linalg.norm(W, axis=0))[pre]
         r = int(np.argmin(damage))
-        w_r = W[:, r].copy()
+        w_r = W[:, pre[r]].copy()
         gammas = s.evict(r)
-        W = s.weights
-        W += gammas[None, :] * w_r[:, None] * Mi[:, s.tasks - 1]
+        W += gammas[None, :] * w_r[:, None] * Mi[:, s.slot_tasks]
         return "insert_evict"
 
 
 class MTRandomizedBudgetPerceptron(_KernelLearner):
     """Perceptron updates with uniform random eviction at full budget."""
 
-    maintain_inverse = False
+    keeps = None
 
     def __init__(self, config, dim):
         super().__init__(config, dim)
@@ -165,7 +165,7 @@ class MTRandomizedBudgetPerceptron(_KernelLearner):
 class MTForgetron(_KernelLearner):
     """First-in-first-out eviction plus the self-tuned shrinking step."""
 
-    maintain_inverse = False
+    keeps = "gram"
 
     def __init__(self, config, dim):
         super().__init__(config, dim)
@@ -176,13 +176,12 @@ class MTForgetron(_KernelLearner):
         if len(s) < s.budget:
             s.insert(query, y)
             return "insert"
-        # entries keep insertion order, so entry 0 was inserted first
-        beta_r = float(s.weights[0])
+        oldest = s.order[0]
+        beta_r = float(s.weights[oldest])
         # a weight is its label times shrink factors in (0, 1], so its sign is
         # the label; a weight that underflowed to 0 zeroes every term y_r is in
         y_r = 1.0 if beta_r > 0 else -1.0
-        # pre-update prediction on the evictee, from its stored query
-        f_r = s.predict(s.query(0))
+        f_r = s.stored_score(oldest)    # pre-update prediction on the evictee
         s.insert(query, y, force=True)
         s.evict(0)
         phi, psi = compute_phi(beta_r, y_r, f_r, self.deficit,

@@ -8,6 +8,9 @@ for a test to step a learner on; `dense_of` gives a sparse query's dense form;
 `mt_kernel` / `base_kernel` oracles take.
 `kernel_column` and `stored_vectors` read an active set's kernel column and
 its store's vectors, which the package itself never needs whole.
+An ActiveSet keeps everything by slot; `in_entry_order` and the `entry_*`,
+`gram_inv` and `kept_gram` helpers read it in entry order (oldest first)
+through its `order`, as the oracles index it.
 `interaction_of` builds a graph's I + L, and `components_of` its connected
 components, from its edge list alone.
 `parse_by_line` is the line-by-line reference of `parse_dataset`.
@@ -68,7 +71,45 @@ def kernel_column(s, query):
     entries, in entry order."""
     if len(s) == 0:
         return np.zeros(0)
-    return s._logical(s._slot_column(query))
+    return s._slot_column(query)[s.order]
+
+
+def in_entry_order(s, per_slot):
+    """An ActiveSet's per-slot values (weights, projection or
+    back-projection coefficients, LOO residuals) at its entries, oldest
+    first."""
+    return per_slot[..., s.order]
+
+
+def entry_weights(s):
+    """A copy of an ActiveSet's weights in entry order."""
+    return in_entry_order(s, s.weights)
+
+
+def entry_query(s, j):
+    """The Query the j-th oldest entry of an ActiveSet was inserted with."""
+    return s._store.queries[s.order[j]]
+
+
+def entry_queries(s):
+    return [entry_query(s, j) for j in range(len(s))]
+
+
+def entry_tasks(s):
+    """One-based tasks of an ActiveSet's entries, oldest first."""
+    return s.slot_tasks[s.order] + 1
+
+
+def gram_inv(s):
+    """A copy of an ActiveSet's H^-1 in entry order, its pending border
+    folded in."""
+    s._settle()
+    return s._Hinv[np.ix_(s.order, s.order)]
+
+
+def kept_gram(s):
+    """A copy of the Gram matrix H an ActiveSet keeps, in entry order."""
+    return s._H[np.ix_(s.order, s.order)]
 
 
 def interaction_of(g):

@@ -24,7 +24,7 @@ from mtbudget.harness import baseline_active_size, run_stream
 from mtbudget.kernels import KernelSpec, MultitaskInstance, SparseVector, mt_kernel
 from mtbudget.learners import (DEFICIT_FRAC, LearnerConfig, compute_phi,
                                make_learner, mtforg_bound, mtrbp_bound)
-from support import instance_of, labelled, query_of
+from support import entry_queries, gram_inv, in_entry_order, instance_of, labelled, query_of
 
 LINEAR = KernelSpec("linear", normalize=True)
 
@@ -88,7 +88,7 @@ class TestCriterion3ActiveSetOracle:
                                           int(rng.integers(1, k + 1))), d, LINEAR)
 
     def _oracle_gram(self, s, model):
-        stored = [instance_of(s.query(j), LINEAR) for j in range(len(s))]
+        stored = [instance_of(q, LINEAR) for q in entry_queries(s)]
         return np.array([[mt_kernel(a, b, model, LINEAR) for b in stored]
                          for a in stored])
 
@@ -107,7 +107,7 @@ class TestCriterion3ActiveSetOracle:
             if len(s):
                 G = self._oracle_gram(s, model)
                 worst = max(worst,
-                            float(np.max(np.abs(s.gram_inv @ G - np.eye(len(s))))))
+                            float(np.max(np.abs(gram_inv(s) @ G - np.eye(len(s))))))
         assert worst <= 1e-6
         report(3, "inverse drift %.2e over 500 ops at B=20" % worst)
 
@@ -123,7 +123,7 @@ class TestCriterion3ActiveSetOracle:
                 s.insert(self._random_query(rng, 12, 3),
                          float(rng.normal()))
             G = self._oracle_gram(s, model)
-            loo = s.leave_one_out_residuals()
+            loo = in_entry_order(s, s.leave_one_out_residuals())
             for j in range(n):
                 idx = [i for i in range(n) if i != j]
                 if idx:
@@ -135,7 +135,7 @@ class TestCriterion3ActiveSetOracle:
                 worst = max(worst, abs(loo[j] - ref))
             r = int(rng.integers(n))
             idx = [i for i in range(n) if i != r]
-            gammas = s.evict(r)
+            gammas = in_entry_order(s, s.evict(r))
             if idx:
                 sub, col = G[np.ix_(idx, idx)], G[idx, r]
                 worst = max(worst, float(np.max(np.abs(

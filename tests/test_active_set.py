@@ -8,7 +8,8 @@ from mtbudget.errors import BudgetFull, NumericalFailure
 from mtbudget.graph import TaskGraph, build_interaction_model
 from mtbudget.kernels import (KernelSpec, MultitaskInstance, SparseVector,
                               base_kernel, mt_kernel)
-from support import instance_of, query_of
+from support import (entry_queries, entry_query, entry_tasks, entry_weights, gram_inv,
+                     in_entry_order, instance_of, kept_gram, query_of)
 
 SPEC = KernelSpec("linear", normalize=True)
 MODEL = build_interaction_model(TaskGraph.complete(3))
@@ -36,14 +37,14 @@ def oracle(s, a, b):
 
 
 def dense_gram_oracle(s):
-    entries = [s.query(j) for j in range(len(s))]
+    entries = entry_queries(s)
     return np.array([[oracle(s, a, b) for b in entries] for a in entries])
 
 
 def inverse_error(s, G=None):
     """max |G H^-1 - I| of the set's inverse against the oracle Gram G."""
     G = dense_gram_oracle(s) if G is None else G
-    return np.max(np.abs(G @ s.gram_inv - np.eye(len(s))))
+    return np.max(np.abs(G @ gram_inv(s) - np.eye(len(s))))
 
 
 def near_twin(rng, q, resid_sq=4e-10, spec=SPEC):
@@ -56,6 +57,17 @@ def near_twin(rng, q, resid_sq=4e-10, spec=SPEC):
     u *= np.linalg.norm(x) * np.tan(np.arcsin(tilt)) / np.linalg.norm(u)
     return query_of(MultitaskInstance(SparseVector.from_dense(x + u), q.task),
                     x.size, spec)
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(budget=0), "budget must be positive"),
+    (dict(kernel_mode="shared"), "bad kernel_mode 'shared'"),
+    (dict(keeps="inverse_gram"), "bad keeps 'inverse_gram'"),
+])
+def test_bad_configuration_is_refused(kw, message):
+    args = dict(budget=4, dim=6, spec=SPEC, model=MODEL) | kw
+    with pytest.raises(ValueError, match=message):
+        ActiveSet(**args)
 
 
 class TestPredict:
@@ -90,7 +102,7 @@ class TestProjection:
         q = rand_query(rng)
         s.insert(q, 1.0)
         alphas, resid = s.projection(q)
-        assert alphas == pytest.approx([1.0], abs=1e-6)
+        assert in_entry_order(s, alphas) == pytest.approx([1.0], abs=1e-6)
         assert resid == pytest.approx(0.0, abs=1e-6)
 
     def test_empty_residual_is_self_kernel_sqrt(self):
@@ -107,7 +119,7 @@ class TestProjection:
         s.insert(a, 1.0)
         s.insert(b, 1.0)
         alphas, resid = s.projection(b)
-        assert alphas == pytest.approx([0.0, 1.0], abs=1e-9)
+        assert in_entry_order(s, alphas) == pytest.approx([0.0, 1.0], abs=1e-9)
         assert resid == pytest.approx(0.0, abs=1e-6)
 
     def test_matches_least_squares_oracle(self):
@@ -118,8 +130,9 @@ class TestProjection:
         G = dense_gram_oracle(s)
         for _ in range(10):
             q = rand_query(rng)
-            col = np.array([oracle(s, s.query(i), q) for i in range(len(s))])
+            col = np.array([oracle(s, entry_query(s, i), q) for i in range(len(s))])
             alphas, resid = s.projection(q)
+            alphas = in_entry_order(s, alphas)
             al2, *_ = np.linalg.lstsq(G, col, rcond=None)
             kqq = oracle(s, q, q)
             resid2 = np.sqrt(max(kqq - col @ al2, 0.0))
@@ -146,8 +159,8 @@ class TestInsert:
         q = rand_query(rng)
         s.insert(q, 1.0)
         kqq = oracle(s, q, q)
-        assert (dense_gram_oracle(s) @ s.gram_inv)[0, 0] == pytest.approx(1.0)
-        assert s.gram_inv[0, 0] == pytest.approx(1.0 / kqq)
+        assert (dense_gram_oracle(s) @ gram_inv(s))[0, 0] == pytest.approx(1.0)
+        assert gram_inv(s)[0, 0] == pytest.approx(1.0 / kqq)
 
     def test_budget_full_raises(self):
         s = make_set(budget=2)
@@ -165,12 +178,14 @@ class TestInsert:
         q, other = rand_query(rng), rand_query(rng)
         s.insert(q, 1.0)
         s.insert(other, 0.5)
-        before = (s.gram_inv, s.weights.copy(), s.leave_one_out_residuals())
+        def state():
+            return (gram_inv(s), entry_weights(s),
+                    in_entry_order(s, s.leave_one_out_residuals()))
+        before = state()
         with pytest.raises(NumericalFailure, match="below the floor"):
             s.insert(q, -1.0)
-        assert len(s) == 2 and s.query(0) is q and s.query(1) is other
-        for got, want in zip((s.gram_inv, s.weights, s.leave_one_out_residuals()),
-                             before):
+        assert len(s) == 2 and entry_query(s, 0) is q and entry_query(s, 1) is other
+        for got, want in zip(state(), before):
             assert np.array_equal(got, want)
         assert inverse_error(s) <= 1e-6
 
@@ -181,7 +196,7 @@ class TestInsert:
         s.insert(a, 1.0)
         s.insert(b, 1.0)
         M11 = MODEL.inverse[0, 0]
-        assert s.gram_inv == pytest.approx(np.eye(2) / M11, abs=1e-9)
+        assert gram_inv(s) == pytest.approx(np.eye(2) / M11, abs=1e-9)
 
     def test_reuses_projection_only_for_same_query_and_task(self):
         rng = np.random.default_rng(14)
@@ -197,7 +212,7 @@ class TestInsert:
         s.insert(q._replace(task=q.task % 3 + 1), 1.0)
         G = dense_gram_oracle(s)
         assert inverse_error(s, G) <= 1e-12
-        assert np.max(np.abs(s.gram_inv - np.linalg.inv(G))) <= 1e-9
+        assert np.max(np.abs(gram_inv(s) - np.linalg.inv(G))) <= 1e-9
 
 
 class TestLeaveOneOut:
@@ -207,14 +222,15 @@ class TestLeaveOneOut:
         q = rand_query(rng)
         s.insert(q, 1.0)
         s.insert(near_twin(rng, q), 1.0)
-        assert np.all(s.leave_one_out_residuals() <= 1e-4)
+        assert np.all(in_entry_order(s, s.leave_one_out_residuals()) <= 1e-4)
 
     def test_orthogonal_unit_entries(self):
         model = build_interaction_model(TaskGraph.edgeless(2))
         s = make_set(model=model)
         s.insert(pairs_query([(1, 1.0)], 1), 1.0)
         s.insert(pairs_query([(2, 1.0)], 1), 1.0)
-        assert s.leave_one_out_residuals() == pytest.approx([1.0, 1.0], abs=1e-9)
+        assert in_entry_order(s, s.leave_one_out_residuals()) == pytest.approx(
+            [1.0, 1.0], abs=1e-9)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(8)
@@ -222,7 +238,7 @@ class TestLeaveOneOut:
         for _ in range(5):
             s.insert(rand_query(rng), rng.normal())
         G = dense_gram_oracle(s)
-        loo = s.leave_one_out_residuals()
+        loo = in_entry_order(s, s.leave_one_out_residuals())
         for j in range(5):
             idx = [i for i in range(5) if i != j]
             sub = G[np.ix_(idx, idx)]
@@ -237,7 +253,7 @@ class TestEvict:
         rng = np.random.default_rng(9)
         s.insert(rand_query(rng), 1.0)
         gammas = s.evict(0)
-        assert len(s) == 0 and gammas.size == 0
+        assert len(s) == 0 and in_entry_order(s, gammas).size == 0
 
     def test_duplicate_back_projection(self):
         s = make_set()
@@ -246,7 +262,7 @@ class TestEvict:
         s.insert(q, 1.0)
         s.insert(near_twin(rng, q), 1.0)
         gammas = s.evict(0)
-        assert gammas == pytest.approx([1.0], abs=1e-4)
+        assert in_entry_order(s, gammas) == pytest.approx([1.0], abs=1e-4)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
@@ -255,11 +271,44 @@ class TestEvict:
             s.insert(rand_query(rng), rng.normal())
         G = dense_gram_oracle(s)
         r = 2
-        gammas = s.evict(r)
+        gammas = in_entry_order(s, s.evict(r))
         idx = [i for i in range(6) if i != r]
         sub = G[np.ix_(idx, idx)]
-        assert np.max(np.abs(s.gram_inv - np.linalg.inv(sub))) <= 1e-6
+        assert np.max(np.abs(gram_inv(s) - np.linalg.inv(sub))) <= 1e-6
         assert gammas == pytest.approx(np.linalg.solve(sub, G[idx, r]), abs=1e-6)
+
+
+class TestKeptGram:
+    @pytest.mark.parametrize("kernel", ["linear:norm", "poly:3:1:norm"])
+    def test_live_pairs_match_the_oracle_after_slot_reuse(self, kernel):
+        """A set that keeps H writes each insert's row and column, from the
+        predict's column when one of the same query came just before. Over
+        random inserts, forced inserts and evictions that reuse freed slots,
+        every live pair must stay M[t_i, t_j] * base_kernel."""
+        spec = KernelSpec.parse(kernel)
+        rng = np.random.default_rng(16)
+        budget = 6
+        s = ActiveSet(budget, 8, spec, MODEL, keeps="gram")
+        inserts = 0
+        for step in range(400):
+            op = rng.choice(["insert", "over", "evict"])
+            if op == "evict" and len(s):
+                s.evict(int(rng.integers(len(s))))
+            elif op != "evict" and (op == "over" or len(s) < budget):
+                q = rand_query(rng, d=8, spec=spec)
+                if rng.random() < 0.5:
+                    s.predict(q)
+                s.insert(q, rng.normal(), force=len(s) >= budget)
+                inserts += 1
+                if len(s) > budget:
+                    s.evict(int(rng.integers(len(s))))
+            if step % 20 == 0 or step == 399:
+                entries = [instance_of(q, spec) for q in entry_queries(s)]
+                want = np.array([[MODEL.inverse[a.task - 1, b.task - 1]
+                                  * base_kernel(a.x, b.x, spec) for b in entries]
+                                 for a in entries]).reshape(len(s), len(s))
+                assert np.max(np.abs(kept_gram(s) - want), initial=0.0) <= 1e-12
+        assert len(s) and s._hi <= budget + 1 < inserts
 
 
 class TestRandomizedMaintenance:
@@ -285,15 +334,13 @@ class TestInsertionOrder:
                         min_size=1, max_size=40),
            budget=st.integers(1, 6),
            mode=st.sampled_from(["multitask", "single"]),
-           maintain_inverse=st.booleans())
-    def test_entries_follow_an_insertion_order_list(self, ops, budget, mode,
-                                                    maintain_inverse):
+           keeps=st.sampled_from(["inverse", "gram", None]))
+    def test_entries_follow_an_insertion_order_list(self, ops, budget, mode, keeps):
         """An insert appends and an eviction closes the gap, so entry j is
         the j-th oldest survivor and entry 0 the oldest: the entries and
         their weights equal a plain list kept in insertion order."""
         rng = np.random.default_rng(budget)
-        s = ActiveSet(budget, 16, SPEC, MODEL, kernel_mode=mode,
-                      maintain_inverse=maintain_inverse)
+        s = ActiveSet(budget, 16, SPEC, MODEL, kernel_mode=mode, keeps=keeps)
         kept = []   # (query, weight), oldest first
 
         def add(force=False):
@@ -314,10 +361,10 @@ class TestInsertionOrder:
                 s.evict(0)
                 del kept[0]
             assert len(s) == len(kept)
-            assert all(s.query(j) is q for j, (q, _) in enumerate(kept))
-            assert list(s.tasks) == [q.task for q, _ in kept]
+            assert all(entry_query(s, j) is q for j, (q, _) in enumerate(kept))
+            assert list(entry_tasks(s)) == [q.task for q, _ in kept]
             for j, (_, w) in enumerate(kept):
-                assert np.array_equal(s.weights[..., j], w)
+                assert np.array_equal(entry_weights(s)[..., j], w)
 
 
 # -- the deferred border of a full-budget insert ----------------------------
@@ -347,20 +394,21 @@ def brute_loo(G):
 
 
 def check_loo(s):
-    got = s.leave_one_out_residuals()
+    got = in_entry_order(s, s.leave_one_out_residuals())
     assert np.max(np.abs(got - brute_loo(dense_gram_oracle(s)))) <= BORDER_TOL
 
 
 def check_inverse(s):
     G = dense_gram_oracle(s)
-    assert np.max(np.abs(s.gram_inv - np.linalg.inv(G))) <= BORDER_TOL
+    assert np.max(np.abs(gram_inv(s) - np.linalg.inv(G))) <= BORDER_TOL
     assert inverse_error(s, G) <= BORDER_TOL
 
 
 def check_projection(s, q):
     alphas, resid = s.projection(q)
+    alphas = in_entry_order(s, alphas)
     G = dense_gram_oracle(s)
-    col = np.array([oracle(s, s.query(j), q) for j in range(len(s))])
+    col = np.array([oracle(s, entry_query(s, j), q) for j in range(len(s))])
     kqq = oracle(s, q, q)
     want = np.linalg.solve(G, col)
     assert np.max(np.abs(alphas - want)) <= BORDER_TOL
@@ -370,7 +418,7 @@ def check_projection(s, q):
 def evict_and_check(s, r):
     G = dense_gram_oracle(s)
     idx = [i for i in range(len(s)) if i != r]
-    gammas = s.evict(r)
+    gammas = in_entry_order(s, s.evict(r))
     assert np.max(np.abs(gammas - np.linalg.solve(G[np.ix_(idx, idx)], G[idx, r]))) \
         <= BORDER_TOL
 
@@ -401,7 +449,7 @@ class TestDeferredBorder:
                 fill(rng)
                 # an exact copy sits below the Schur floor: the set refuses
                 # it and stays as it was
-                twin = s.query(int(rng.integers(budget)))
+                twin = entry_query(s, int(rng.integers(budget)))
                 with pytest.raises(NumericalFailure):
                     s.insert(twin, weight(rng), force=True)
                 assert len(s) == budget

@@ -180,12 +180,27 @@ class TestBaseline:
         assert "`:norm`" in capsys.readouterr().err
 
 
+def assert_one_error_line(capsys, code, message):
+    """Exit 1 with `message` as the only line on stderr: no traceback."""
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 class TestVerifyGraph:
     def test_passes_within_tolerance(self, capsys):
         code, out = run_cli(capsys, "verify-graph", "--k", "6",
                             "--trials", "20")
         assert code == 0
         assert json.loads(out)["max_error"] <= 1e-9
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--k", "0"), "--k must be at least 1, got 0"),   # once "low >= high"
+        (("--k", "-3"), "--k must be at least 1, got -3"),
+        (("--trials", "-1"), "--trials must be at least 0, got -1"),
+    ])
+    def test_bad_counts_name_the_flag(self, capsys, argv, message):
+        assert_one_error_line(capsys, main(["verify-graph", *argv]), message)
 
 
 class TestBounds:
@@ -211,6 +226,24 @@ class TestSynth:
         assert doc["n"] == 60 and doc["out"] == str(out_path)
         stream = parse_dataset(out_path, k=2)
         assert len(stream) == 60 and stream.binary
+
+    @pytest.mark.parametrize("k, d, n, message", [
+        (0, 5, 10, "k must be at least 1, got 0"),     # once an IndexError
+        (2, 0, 10, "d must be at least 1, got 0"),     # once 10 empty rows
+        (2, 5, -1, "n must be at least 0, got -1"),    # once "negative dimensions"
+    ])
+    def test_bad_sizes_fail_cleanly_and_write_nothing(self, capsys, tmp_path,
+                                                       k, d, n, message):
+        out_path = tmp_path / "s.mtsvm"
+        code = main(["synth", "--k", str(k), "--d", str(d), "--n", str(n),
+                     "--out", str(out_path)])
+        assert_one_error_line(capsys, code, message)
+        assert not out_path.exists()
+
+    def test_bad_synth_spec_of_run_fails_cleanly(self, capsys):
+        code = main(["run", "--algo", "mtrbp", "--graph", "complete",
+                     "--synth", "k=0,d=5,n=10"])
+        assert_one_error_line(capsys, code, "k must be at least 1, got 0")
 
     def test_runs_consume_synth_file(self, capsys, tmp_path):
         out_path = tmp_path / "s.mtsvm"

@@ -320,6 +320,12 @@ class TestSynthetic:
         assert refs.weights.shape == (4, 7)
         assert np.linalg.norm(refs.weights, axis=1) == pytest.approx(np.ones(4))
 
+    @pytest.mark.parametrize("k, d, n, name", [(0, 5, 10, "k"), (-1, 5, 10, "k"),
+                                               (2, 0, 10, "d"), (2, 5, -1, "n")])
+    def test_bad_sizes_name_the_argument(self, k, d, n, name):
+        with pytest.raises(ValueError, match="^%s must be at least" % name):
+            generate_synthetic(k, d, n, 0.5, 0.0)
+
     def test_round_robin_tasks(self):
         stream, _ = generate_synthetic(3, 5, 9, 0.5, 0.0, seed=0)
         assert [i.task for i in stream.instances] == [1, 2, 3] * 3

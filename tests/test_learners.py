@@ -14,7 +14,8 @@ from mtbudget.kernels import (KernelSpec, MultitaskInstance, SparseVector,
 from mtbudget.learners import (DEFICIT_FRAC, LearnerConfig, PerceptronBattery,
                                compute_phi, make_learner, mtforg_bound,
                                mtrbp_bound)
-from support import dense_of, instance_of, labelled
+from support import (dense_of, entry_queries, entry_query, entry_weights, gram_inv,
+                     in_entry_order, instance_of, labelled)
 
 SPEC = KernelSpec("linear", normalize=True)
 
@@ -69,17 +70,17 @@ class TestMtbprj:
         g = TaskGraph.complete(3)
         learner = make_learner(cfg("mtbprj", g, budget=5), 4)
         learner.step(*ex([1.0, 0, 0, 0], 1, 1))
-        before = learner.active_set.weights.copy()
+        before = entry_weights(learner.active_set)
         out = learner.step(*ex([1.0, 0, 0, 0], 1, 1))  # score > 0, same label
         assert not out.mistake and out.action == "none"
-        assert np.array_equal(learner.active_set.weights, before)
+        assert np.array_equal(entry_weights(learner.active_set), before)
 
     def test_first_mistake_inserts_label_weight(self):
         learner = make_learner(cfg("mtbprj", TaskGraph.complete(3), budget=5), 4)
         out = learner.step(*ex([0, 1.0, 0, 0], 2, -1))
         assert out.mistake and out.action == "insert"
         assert len(learner.active_set) == 1
-        assert learner.active_set.weights[0] == -1.0
+        assert entry_weights(learner.active_set)[0] == -1.0
 
     def test_duplicate_goes_to_projection_branch(self):
         learner = make_learner(cfg("mtbprj", TaskGraph.complete(3), budget=5), 4)
@@ -87,7 +88,7 @@ class TestMtbprj:
         out = learner.step(*ex([1.0, 0, 0, 0], 1, -1))  # same point, flipped label
         assert out.mistake and out.action == "weight_update_projection"
         assert len(learner.active_set) == 1
-        assert learner.active_set.weights[0] == pytest.approx(0.0, abs=1e-9)
+        assert entry_weights(learner.active_set)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_projection_preserves_function(self):
         rng = np.random.default_rng(0)
@@ -104,9 +105,9 @@ class TestMtbprj:
                 _, resid = s.projection(query)
                 if resid <= learner.config.eta:
                     before = np.array([s.predict(p) for p in probes])
-                    alphas = s.projection(query)[0]
+                    alphas = in_entry_order(s, s.projection(query)[0])
                     kp = np.array([
-                        sum(a * mt_oracle(s.query(j), p, model)
+                        sum(a * mt_oracle(entry_query(s, j), p, model)
                             for j, a in enumerate(alphas)) for p in probes])
             learner.step(query, y)
             if before is not None:
@@ -124,8 +125,8 @@ class TestMtbprj:
             expect = None
             if (len(s) == 4 and y * s.predict(query) <= 0
                     and s.projection(query)[1] > learner.config.eta):
-                entries = [s.query(j) for j in range(4)]
-                beta = s.weights.copy()
+                entries = entry_queries(s)
+                beta = entry_weights(s)
                 # brute-force damage of each candidate over J \ {j} u {t}
                 model = learner.model
                 cand = entries + [query]
@@ -144,8 +145,7 @@ class TestMtbprj:
             if expect is not None:
                 evictions += 1
                 assert out.action == "insert_evict"
-                kept = [learner.active_set.query(j)
-                        for j in range(len(learner.active_set))]
+                kept = entry_queries(learner.active_set)
                 assert all(k is not survivors_should_drop for k in kept)
         assert evictions > 0
 
@@ -175,7 +175,7 @@ class TestMtbprj2:
         learner = make_learner(cfg("mtbprj2", TaskGraph.complete(3), budget=5), 4)
         out = learner.step(*ex([0, 1.0, 0, 0], 1, 1))
         assert out.action == "insert"
-        assert learner.active_set.weights[:, 0] == pytest.approx([0.5, 0.25, 0.25])
+        assert entry_weights(learner.active_set)[:, 0] == pytest.approx([0.5, 0.25, 0.25])
 
     def test_task_markers_ignored_by_projection(self):
         # Isolated task, feature vector inside the stored span: the
@@ -240,8 +240,8 @@ def test_exact_repeats_at_eta_zero_keep_the_inverse_exact(algo, budget):
     row_of = {id(q): i for (q, _), i in zip(examples, picks)}
     for query, y in examples:
         learner.step(query, y)
-        rows_in = [row_of[id(s.query(j))] for j in range(len(s))]
-        err = np.max(np.abs(G[np.ix_(rows_in, rows_in)] @ s.gram_inv
+        rows_in = [row_of[id(q)] for q in entry_queries(s)]
+        err = np.max(np.abs(G[np.ix_(rows_in, rows_in)] @ gram_inv(s)
                             - np.eye(len(s))))
         assert err <= 1e-6
     assert len(s) == min(budget, 24 if algo == "mtbprj" else 8)
@@ -280,6 +280,39 @@ def test_one_kernel_column_per_predict_and_projection(algo, monkeypatch):
     learner.active_set.predict(a)
     learner.active_set.projection(b)
     assert columns["projection"][-1] == (1, False)
+
+
+@pytest.mark.filterwarnings("ignore:mtforg mistake bound")
+def test_mtforg_scores_its_evictee_without_a_kernel_column(monkeypatch):
+    """mtforg reads the evictee's score from the kept H, so n steps compute
+    n - 1 kernel columns: one per predict, none on the first (empty) step."""
+    calls = [0]
+    real_kernel_vector = active_set_module.dense_kernel_vector
+
+    def counting(*args):
+        calls[0] += 1
+        return real_kernel_vector(*args)
+    monkeypatch.setattr(active_set_module, "dense_kernel_vector", counting)
+    learner = make_learner(cfg("mtforg", TaskGraph.complete(3), budget=6), 8)
+    examples = rand_examples(np.random.default_rng(3), 300)
+    actions = [learner.step(*e).action for e in examples]
+    assert actions.count("insert_evict_shrink") >= 20
+    assert calls[0] == len(examples) - 1
+
+
+def test_equal_damage_evicts_the_earliest_insert():
+    """Two pre-existing entries of exactly equal damage, the earlier insert
+    in the higher slot: mtbprj evicts the earlier one."""
+    learner = make_learner(cfg("mtbprj", TaskGraph.edgeless(1), budget=2), 4)
+    s = learner.active_set
+    z, p, q, x = (ex(e, 1, 1)[0] for e in np.eye(4)[[3, 0, 1, 2]])
+    s.insert(z, 1.0)
+    s.insert(p, 1.0)
+    s.evict(0)          # frees z's slot, the lowest
+    s.insert(q, 1.0)    # reuses it: q is newer than p but sits below it
+    # orthonormal entries of weight 1 both have damage 1 * 1
+    assert learner.step(x, 1).action == "insert_evict"
+    assert s.predict(p) == 0.0 and s.predict(q) == 1.0 and len(s) == 2
 
 
 def test_one_kernel_column_per_battery_predict(monkeypatch):
@@ -322,11 +355,11 @@ class TestMtrbp:
         for e in rand_examples(rng, 300, d=10):
             s = learner.active_set
             full = len(s) == 3
-            pre = [s.query(j) for j in range(len(s))] if full else None
+            pre = entry_queries(s) if full else None
             out = learner.step(*e)
             if out.mistake and full:
                 evicted = int(oracle.integers(3))
-                kept = [learner.active_set.query(j) for j in range(2)]
+                kept = entry_queries(learner.active_set)[:2]
                 expected_kept = [x for j, x in enumerate(pre) if j != evicted]
                 assert kept == expected_kept
             assert len(learner.active_set) <= 3
@@ -335,7 +368,7 @@ class TestMtrbp:
         learner = make_learner(cfg("mtrbp", TaskGraph.complete(2), budget=5), 4)
         out = learner.step(*ex([1.0, 0, 0, 0], 1, -1))
         assert out.action == "insert"
-        assert learner.active_set.weights[0] == -1.0
+        assert entry_weights(learner.active_set)[0] == -1.0
 
 
 class TestComputePhi:
@@ -401,12 +434,12 @@ class TestMtforg:
             s = learner.active_set
             pre = None
             if len(s) == 4 and y * s.predict(query) <= 0:
-                pre = dict(beta_r=float(s.weights[0]),
+                pre = dict(beta_r=float(entry_weights(s)[0]),
                            y_r=inserted.pop(0),
-                           f_r=s.predict(s.query(0)),
-                           weights=s.weights.copy(),
+                           f_r=s.predict(entry_query(s, 0)),
+                           weights=entry_weights(s),
                            Q=learner.deficit, M=learner.mistakes,
-                           first=s.query(0))
+                           first=entry_query(s, 0))
             out = learner.step(query, y)
             if out.mistake:
                 inserted.append(y)
@@ -417,10 +450,10 @@ class TestMtforg:
                                        pre["Q"], pre["M"] + 1, cG)
                 s = learner.active_set
                 # oldest dropped, newcomer got y*phi, survivors scaled by phi
-                assert all(s.query(j) is not pre["first"] for j in range(4))
+                assert all(q is not pre["first"] for q in entry_queries(s))
                 survivors = pre["weights"][1:] * phi
-                assert s.weights[:3] == pytest.approx(survivors, abs=1e-12)
-                assert s.weights[3] == pytest.approx(y * phi, abs=1e-12)
+                assert entry_weights(s)[:3] == pytest.approx(survivors, abs=1e-12)
+                assert entry_weights(s)[3] == pytest.approx(y * phi, abs=1e-12)
                 assert learner.deficit == pytest.approx(pre["Q"] + psi, abs=1e-12)
             assert learner.deficit <= DEFICIT_FRAC * cG * cG * learner.mistakes
             assert len(learner.active_set) <= 4
@@ -595,7 +628,7 @@ class TestSingleTaskReduction:
                     w = w[1:] + [y]
                     labels = labels[1:] + [y]
                     # learner's closed form within grid resolution
-                    got_w = learner.active_set.weights
+                    got_w = entry_weights(learner.active_set)
                     ratio = got_w[-1] / y
                     assert abs(ratio - phi) <= 2e-4
                     w = [wi * ratio for wi in w]

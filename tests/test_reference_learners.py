@@ -20,7 +20,7 @@ from mtbudget.data import generate_synthetic
 from mtbudget.graph import TaskGraph
 from mtbudget.kernels import KernelSpec
 from mtbudget.learners import LearnerConfig, compute_phi, make_learner
-from support import interaction_of, labelled
+from support import entry_weights, interaction_of, labelled
 
 SPEC = KernelSpec("linear", normalize=True)
 K, D, N, BUDGET = 3, 12, 300, 8
@@ -201,7 +201,7 @@ def test_learner_matches_naive_reference(algo, eta, graph, seed):
         out = learner.step(query, y)
         assert out.mistake == ref.step(x / np.linalg.norm(x), inst.task, y)
         actions.append(out.action)
-        got = learner.active_set.weights
+        got = entry_weights(learner.active_set)
         want = ref.weights()
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) <= WEIGHT_TOL

@@ -20,8 +20,8 @@ from mtbudget.graph import TaskGraph, build_interaction_model
 from mtbudget.kernels import (KernelSpec, MultitaskInstance, SparseVector,
                               base_kernel, make_queries, mt_kernel)
 from mtbudget.learners import ALGORITHMS, LearnerConfig, make_learner
-from support import (dense_of, instance_of, kernel_column, queries_of, query_of,
-                     stored_vectors)
+from support import (dense_of, entry_queries, entry_weights, in_entry_order, instance_of,
+                     kernel_column, queries_of, query_of, stored_vectors)
 
 D = 5000
 NNZ = 30
@@ -49,7 +49,7 @@ def dense_query(inst, dim, spec):
 
 
 def entries(s):
-    return [instance_of(s.query(j), s.spec) for j in range(len(s))]
+    return [instance_of(q, s.spec) for q in entry_queries(s)]
 
 
 def oracle_base(s, q):
@@ -71,9 +71,9 @@ def oracle_gram(s):
 def oracle_predict(s, q):
     base = oracle_base(s, q)
     if s.kernel_mode == "multitask":
-        return float(np.dot(s.weights, base))
+        return float(np.dot(entry_weights(s), base))
     # single mode: K' against the entries, weighted by q's task row
-    return float(np.dot(s.weights[q.task - 1], base))
+    return float(np.dot(entry_weights(s)[q.task - 1], base))
 
 
 def check_against_oracle(s, q):
@@ -84,7 +84,7 @@ def check_against_oracle(s, q):
         assert np.allclose(kernel_column(s, query), want, rtol=0, atol=TOL)
         assert abs(s.predict(query) - oracle_predict(s, q)) <= TOL
     # the Gram the stored vectors give, one kernel column per entry
-    gram = np.array([kernel_column(s, s.query(j)) for j in range(len(s))])
+    gram = np.array([kernel_column(s, q) for q in entry_queries(s)])
     assert np.allclose(gram.reshape(len(s), len(s)), oracle_gram(s), rtol=0, atol=TOL)
 
 
@@ -113,7 +113,8 @@ class TestSlotStore:
                 q = sparse_instance(rng)
                 a1, r1 = s.projection(query_of(q, D, spec))
                 a2, r2 = s.projection(dense_query(q, D, spec))
-                assert np.allclose(a1, a2, rtol=1e-9, atol=TOL)
+                assert np.allclose(in_entry_order(s, a1), in_entry_order(s, a2),
+                                   rtol=1e-9, atol=TOL)
                 assert abs(r1 - r2) <= 1e-6
             else:
                 like = stored[int(rng.integers(len(stored)))] \
@@ -139,7 +140,7 @@ class TestSlotStore:
 
     def test_evicted_slot_is_reused_without_moving_the_others(self):
         rng = np.random.default_rng(0)
-        s = ActiveSet(3, D, SPECS["linear"], MODEL, maintain_inverse=False)
+        s = ActiveSet(3, D, SPECS["linear"], MODEL, keeps=None)
         for _ in range(3):
             s.insert(query_of(sparse_instance(rng), D, SPECS["linear"]), 1.0)
         stored = stored_vectors(s._store)[:, :3].copy()   # one column per slot
@@ -151,7 +152,7 @@ class TestSlotStore:
         assert np.array_equal(stored_vectors(s._store)[:, 1:3], stored[:, 1:3])
         assert np.array_equal(stored_vectors(s._store)[:, 0],
                               dense_of(query, D, SPECS["linear"]).x)
-        assert [s.query(j) for j in range(3)][-1] is query
+        assert entry_queries(s)[-1] is query
 
 
 class TestQueryForm:
@@ -308,7 +309,7 @@ class TestCompactRows:
                               + vocab * (i // 1000) + 1 for i in range(n)])
         stream = DatasetStream((np.arange(n + 1) * nnz, ids, rng.random(n * nnz),
                                 np.arange(n) % K + 1), np.ones(n), K, self.DIM)
-        s = ActiveSet(16, self.DIM, SPECS["linear"], MODEL, maintain_inverse=False)
+        s = ActiveSet(16, self.DIM, SPECS["linear"], MODEL, keeps=None)
         rebuilds, X = 0, None
         for step, q in enumerate(make_queries(stream, SPECS["linear"]), start=1):
             full = len(s) >= s.budget
