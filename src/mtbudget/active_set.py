@@ -189,6 +189,9 @@ class ActiveSet:
         self._W = np.zeros((model.k, self._cap) if kernel_mode == "single" else self._cap)
         self._Hinv = np.zeros((self._cap,) * 2) if keeps == "inverse" else None
         self._H = np.zeros((self._cap,) * 2) if keeps == "gram" else None
+        # the two factors of an eviction's rank-2 update of H^-1, by slot
+        self._left = np.zeros((2, self._cap))
+        self._right = np.zeros((2, self._cap))
         self._hi = 0        # slots ever used
         self._free = []     # slots below _hi that hold no entry
         self._order = np.zeros(self._cap, dtype=np.intp)   # live slots, oldest first
@@ -321,8 +324,8 @@ class ActiveSet:
         self.n = n + 1
         self._last = None
         if self._Hinv is not None:
-            a = np.zeros(self._hi)
-            a[:alpha.size] = alpha
+            # alpha covers the slots before the insert; a new slot extends it
+            a = np.append(alpha, 0.0) if slot == alpha.size else alpha.copy()
             a[slot] = -1.0
             self._border = (a, delta)
         elif self._H is not None:
@@ -355,7 +358,12 @@ class ActiveSet:
         self._border = None
         d = Hinv[:, slot] + a * a[slot] / delta
         gammas = -d / d[slot]
-        Hinv += np.array((a / delta, gammas)).T @ np.array((a, d))
+        left, right = self._left[:, :hi], self._right[:, :hi]
+        np.divide(a, delta, out=left[0])
+        left[1] = gammas
+        right[0] = a
+        right[1] = d
+        Hinv += left.T @ right
         Hinv[slot, :] = 0.0
         Hinv[:, slot] = 0.0
         gammas[slot] = 0.0
@@ -367,7 +375,7 @@ class ActiveSet:
         if self.n == 0:
             raise ValueError("empty active set")
         hi = self._hi
-        diag = np.diag(self._Hinv[:hi, :hi])
+        diag = self._Hinv[:hi, :hi].diagonal()
         if self._border is not None:
             a, delta = self._border
             diag = diag + a * a / delta
@@ -387,7 +395,7 @@ class ActiveSet:
         past the budget), so the full-budget matrix is one contiguous block."""
         new_cap = max(self._cap + 1, min(2 * self._cap, self.budget + 1))
         self._store.resize(new_cap)
-        for name in ("_tasks", "_order", "_W"):
+        for name in ("_tasks", "_order", "_W", "_left", "_right"):
             arr = getattr(self, name)
             setattr(self, name, _grown(arr, arr.shape[:-1] + (new_cap,)))
         for name in ("_Hinv", "_H"):

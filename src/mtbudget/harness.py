@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
 from .data import DatasetStream
-from .errors import TaskOutOfRange
+from .errors import EmptyStream, TaskOutOfRange
 from .graph import TaskGraph
 from .kernels import KernelSpec, make_queries
 from .learners import LearnerConfig, make_learner
+
+_prediction = itemgetter(0)     # of a learner's StepOutcome
+
+
+def _f_measure(tp, fp, fn):
+    denom = 2 * tp + fp + fn
+    return 2.0 * tp / denom if denom else 0.0
 
 
 @dataclass
@@ -35,8 +45,7 @@ class StreamMetrics:
     @property
     def f_measure(self):
         tp, fp, fn, _ = self.counts
-        denom = 2 * tp + fp + fn
-        return 2.0 * tp / denom if denom else 0.0
+        return _f_measure(tp, fp, fn)
 
 
 def run_stream(stream: DatasetStream, config: LearnerConfig,
@@ -44,40 +53,55 @@ def run_stream(stream: DatasetStream, config: LearnerConfig,
     """Drive one learner over a binarized stream; predictions are scored
     with the pre-update state of each step. Each example's query is built
     once, in the form (sparse or dense) the stream's density favours, so a
-    sparse stream is never densified."""
+    sparse stream is never densified.
+
+    The loop keeps one byte per step, the prediction, and |S| at each
+    trajectory mark (every 1% of the steps, and the last); the confusion
+    counts and the trajectory's F are tallied from them afterwards."""
+    if len(stream) == 0:
+        raise EmptyStream("cannot run a learner on an empty stream")
     if not stream.binary:
         raise ValueError("stream still has real labels; binarize first")
     if epochs < 1:
         raise ValueError("epochs must be >= 1, got %r" % epochs)
-    if stream.k > config.graph.k:
+    k = config.graph.k
+    if stream.k > k:
         raise TaskOutOfRange("the stream has %d tasks but the graph has only %d"
-                             % (stream.k, config.graph.k))
+                             % (stream.k, k))
     learner = make_learner(config, dim=stream.d)
-    metrics = StreamMetrics(per_task=np.zeros((config.graph.k, 4), dtype=np.int64))
+    step = learner.step
     queries = make_queries(stream, config.kernel)
     labels = stream.labels.astype(np.int64).tolist()
     total = len(queries) * epochs
     every = max(1, total // 100)
-    step = 0
-    for _ in range(epochs):
-        for query, y in zip(queries, labels):
-            outcome = learner.step(query, y)
-            step += 1
-            # column tp, fp, fn or tn
-            metrics.per_task[query.task - 1,
-                             2 * (outcome.prediction != 1) + (y != 1)] += 1
-            if step % every == 0 or step == total:
-                metrics.trajectory.append((step, metrics.f_measure,
-                                           learner.active_size))
-    metrics.mistakes = learner.mistakes
-    metrics.final_active = learner.active_size
-    return metrics
+    marks = list(range(every, total, every)) + [total]
+    qs = chain.from_iterable(repeat(queries, epochs))
+    ys = chain.from_iterable(repeat(labels, epochs))
+    predictions = array("b")
+    sizes = []
+    done = 0
+    for mark in marks:
+        predictions.extend(map(_prediction, map(step, islice(qs, mark - done),
+                                                islice(ys, mark - done))))
+        sizes.append(learner.active_size)
+        done = mark
+    # cell 0..3 = tp, fp, fn, tn, from the prediction's and the label's sign
+    cell = np.frombuffer(predictions, dtype=np.int8) != 1
+    cell = 2 * cell + np.tile(stream.labels != 1, epochs)
+    per_task = np.bincount(4 * np.tile(stream.tasks - 1, epochs) + cell,
+                           minlength=4 * k).reshape(k, 4)
+    # the counts up to each mark: a bincount by segment between marks, summed
+    segment = np.arange(total) // every
+    upto = np.bincount(4 * segment + cell, minlength=4 * len(marks))
+    upto = upto.reshape(-1, 4).cumsum(axis=0).tolist()
+    trajectory = [(mark, _f_measure(tp, fp, fn), size)
+                  for mark, (tp, fp, fn, _), size in zip(marks, upto, sizes)]
+    return StreamMetrics(mistakes=learner.mistakes, per_task=per_task,
+                         trajectory=trajectory, final_active=learner.active_size)
 
 
 def baseline_active_size(stream: DatasetStream, kernel: KernelSpec) -> int:
     """Final active-set size (= mistake count) of the k-Perceptron battery."""
-    if len(stream) == 0:
-        return 0
     config = LearnerConfig("perceptron_battery", TaskGraph.edgeless(stream.k),
                            kernel=kernel)
     return run_stream(stream, config).final_active

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -237,7 +238,8 @@ def make_queries(stream, spec: KernelSpec):
                 indptr = indptr + np.arange(n + 1)
         idx.flags.writeable = values.flags.writeable = False
         bounds = indptr.tolist()
-        rows = [(idx[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:])]
+        xs = (values[a:b] for a, b in zip(bounds, bounds[1:]))
+        idxs = (idx[a:b] for a, b in zip(bounds, bounds[1:]))
     else:
         X = np.zeros((n, folded_dim(dim, spec)))
         X[row_of, idx] = values
@@ -246,9 +248,10 @@ def make_queries(stream, spec: KernelSpec):
             X[:, dim:] = math.sqrt(offset)     # the extra column, if any
             X /= norm[:, None]
         X.flags.writeable = False
-        rows = [(None, x) for x in X]
-    return [Query(i, x, q_sq, task) for (i, x), q_sq, task
-            in zip(rows, sq.tolist(), stream.tasks.tolist())]
+        xs, idxs = X, repeat(None)
+    # tuple.__new__ builds each Query in C; Query's own __new__ is Python code
+    return list(map(tuple.__new__, repeat(Query),
+                    zip(idxs, xs, sq.tolist(), stream.tasks.tolist())))
 
 
 def dense_kernel_vector(X: np.ndarray, sq_norms: np.ndarray, q: np.ndarray,

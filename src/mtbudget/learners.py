@@ -54,6 +54,9 @@ class LearnerConfig:
 
 
 class StepOutcome(NamedTuple):
+    """What a step did; the learners build it with tuple.__new__, which
+    skips NamedTuple's Python-level constructor."""
+
     prediction: int
     score: float
     mistake: bool
@@ -85,7 +88,8 @@ class _KernelLearner:
         if mistake:
             self.mistakes += 1
             action = self._update(query, y)
-        return StepOutcome(1 if score >= 0 else -1, score, mistake, action)
+        return tuple.__new__(StepOutcome,
+                             (1 if score >= 0 else -1, score, mistake, action))
 
     def _update(self, query, y):
         raise NotImplementedError
@@ -107,7 +111,7 @@ class MTBudgetProjectron(_KernelLearner):
         # pre-existing entries, oldest first, so ties go to the earliest insert
         pre = s.order[:-1]
         beta = s.weights
-        damage = (np.abs(beta) * s.leave_one_out_residuals())[pre]
+        damage = (np.abs(beta) * s.leave_one_out_residuals()).take(pre)
         r = int(np.argmin(damage))
         beta_r = float(beta[pre[r]])
         gammas = s.evict(r)
@@ -134,7 +138,7 @@ class MTBudgetProjectron2(_KernelLearner):
         s.insert(query, col, force=True)
         pre = s.order[:-1]      # as in mtbprj
         W = s.weights
-        damage = (s.leave_one_out_residuals() * np.linalg.norm(W, axis=0))[pre]
+        damage = (s.leave_one_out_residuals() * np.linalg.norm(W, axis=0)).take(pre)
         r = int(np.argmin(damage))
         w_r = W[:, pre[r]].copy()
         gammas = s.evict(r)
@@ -222,7 +226,8 @@ class PerceptronBattery:
             self.mistakes += 1
             self._append(t, n, query, y)
             action = "insert"
-        return StepOutcome(1 if score >= 0 else -1, score, mistake, action)
+        return tuple.__new__(StepOutcome,
+                             (1 if score >= 0 else -1, score, mistake, action))
 
     def _append(self, t, n, query, y):
         store = self._stores[t]

@@ -254,3 +254,28 @@ class TestSynth:
                             "--data", str(out_path), "--k", "2")
         assert code == 0
         assert json.loads(out)["budget_resolved"] == 10
+
+
+class TestEmptyStream:
+    @pytest.fixture(params=["synth", "comment"])
+    def empty_file(self, request, capsys, tmp_path):
+        """An `mtsvm` file with no examples: what `synth --n 0` writes (0
+        bytes), or one that holds only a comment."""
+        path = tmp_path / "e.mtsvm"
+        if request.param == "synth":
+            code, out = run_cli(capsys, "synth", "--k", "2", "--d", "3", "--n", "0",
+                                "--out", str(path))
+            assert code == 0 and json.loads(out)["n"] == 0
+        else:
+            path.write_text("# no examples\n")
+        return str(path)
+
+    @pytest.mark.parametrize("budget", ["5%", "5"])
+    def test_run_fails_cleanly(self, capsys, empty_file, budget):
+        code = main(["run", "--data", empty_file, "--algo", "mtrbp",
+                     "--graph", "complete", "--budget", budget])
+        assert_one_error_line(capsys, code, "cannot run a learner on an empty stream")
+
+    def test_baseline_fails_cleanly(self, capsys, empty_file):
+        code = main(["baseline", "--data", empty_file])
+        assert_one_error_line(capsys, code, "cannot run a learner on an empty stream")

@@ -4,7 +4,7 @@ import pytest
 from mtbudget import kernels
 from mtbudget.data import (DatasetStream, binarize_by_percentile, generate_synthetic,
                            parse_dataset, rescale_features)
-from mtbudget.errors import TaskOutOfRange
+from mtbudget.errors import EmptyStream, TaskOutOfRange
 from mtbudget.graph import TaskGraph
 from mtbudget.harness import (StreamMetrics, baseline_active_size,
                               resolve_budget, run_stream)
@@ -89,6 +89,47 @@ class TestCausality:
         assert mist == m_half.mistakes
 
 
+@pytest.mark.parametrize("n", [57, 250, 1000])
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("algo", ["mtbprj", "perceptron_battery"])
+def test_tallies_match_a_naive_recount(algo, epochs, n):
+    """`run_stream` tallies after its loop; a naive loop that counts as it
+    steps a fresh learner must give the same outputs. n = 57 marks every
+    step, and 250 at 3 epochs leaves a tail mark at the last step (750 is
+    not a multiple of 7)."""
+    stream = small_stream(n=n, seed=n)
+    graph = TaskGraph.edgeless(3) if algo == "perceptron_battery" else TaskGraph.complete(3)
+    cfg = LearnerConfig(algo, graph, budget=12, eta=0.1, kernel=SPEC)
+    learner = make_learner(cfg, stream.d)
+    examples = list(zip(kernels.make_queries(stream, SPEC), stream.labels))
+    total = n * epochs
+    every = max(1, total // 100)
+    per_task = [[0, 0, 0, 0] for _ in range(3)]
+    trajectory = []
+    step = 0
+    for _ in range(epochs):
+        for query, y in examples:
+            pred = learner.step(query, int(y)).prediction
+            step += 1
+            if pred == 1:
+                cell = 0 if y == 1 else 1
+            else:
+                cell = 2 if y == 1 else 3
+            per_task[query.task - 1][cell] += 1
+            if step % every == 0 or step == total:
+                tp = sum(row[0] for row in per_task)
+                fp = sum(row[1] for row in per_task)
+                fn = sum(row[2] for row in per_task)
+                f = 2.0 * tp / (2 * tp + fp + fn) if tp + fp + fn else 0.0
+                trajectory.append((step, f, learner.active_size))
+    m = run_stream(stream, cfg, epochs=epochs)
+    assert m.per_task.tolist() == per_task
+    assert m.mistakes == learner.mistakes
+    assert m.final_active == learner.active_size
+    assert m.trajectory == trajectory
+    assert trajectory[-1][0] == total and len(trajectory) == -(-total // every)
+
+
 class TestTrajectory:
     def test_sampling_interval(self):
         stream = small_stream(n=250)
@@ -143,6 +184,25 @@ class TestEpochs:
                             kernel=SPEC)
         m = run_stream(stream, cfg, epochs=3)
         assert m.steps == 300
+
+
+class TestEmptyStream:
+    """A stream with no examples has no F-measure or trajectory to report."""
+
+    EMPTY = DatasetStream((np.zeros(1), np.zeros(0), np.zeros(0), np.zeros(0)),
+                          np.zeros(0), 2, 3)
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_run_stream_rejects_it(self, algo):
+        cfg = LearnerConfig(algo, TaskGraph.complete(2), budget=100, kernel=SPEC)
+        with pytest.raises(EmptyStream, match="empty stream"):
+            run_stream(self.EMPTY, cfg, epochs=2)
+
+    def test_baseline_and_percent_budget_reject_it(self):
+        with pytest.raises(EmptyStream):
+            baseline_active_size(self.EMPTY, SPEC)
+        with pytest.raises(EmptyStream):
+            resolve_budget("5%", self.EMPTY, SPEC)
 
 
 class TestBaseline:

@@ -4,7 +4,7 @@ import pytest
 from mtbudget.data import DatasetStream
 from mtbudget.errors import NumericalFailure, ZeroNormInstance
 from mtbudget.graph import TaskGraph, build_interaction_model
-from mtbudget.kernels import (KernelSpec, MultitaskInstance, SparseVector,
+from mtbudget.kernels import (KernelSpec, MultitaskInstance, Query, SparseVector,
                               base_kernel, dense_kernel_vector, make_queries,
                               mt_kernel)
 from support import dense_of, queries_of
@@ -167,6 +167,26 @@ class TestDenseFastPaths:
                                       np.array([s.sq for s in stored]), q.x, q.sq, spec)
             for i, r in enumerate(rows[:-1]):
                 assert got[i] == pytest.approx(base_kernel(r, rows[-1], spec), abs=1e-12)
+
+
+class TestQueryConstruction:
+    @pytest.mark.parametrize("text", ["linear:norm", "poly:2:1:norm", "gauss:0.7"])
+    @pytest.mark.parametrize("d", [5, 400])     # dense queries, then sparse ones
+    def test_queries_are_whole_query_tuples(self, text, d):
+        """`make_queries` builds its Querys without the class constructor,
+        which checks the field count; each must still be the tuple that
+        constructor builds."""
+        rng = np.random.default_rng(4)
+        rows = [MultitaskInstance(SparseVector(np.sort(rng.choice(d, 3, replace=False)) + 1,
+                                               rng.normal(size=3)), t)
+                for t in (1, 2, 2, 3)]
+        queries = make_queries(DatasetStream(rows, np.ones(4), 3, d), KernelSpec.parse(text))
+        assert len(queries) == 4
+        for q, inst in zip(queries, rows):
+            assert type(q) is Query and len(q) == len(Query._fields) == 4
+            assert q == Query(q.idx, q.x, q.sq, q.task) == Query(*q)
+            assert (q.idx is None) == (d == 5) and q.task == inst.task
+            assert isinstance(q.sq, float) and type(q.task) is int
 
 
 class TestSelfKernelRange:

@@ -11,9 +11,9 @@ from mtbudget.errors import DomainError
 from mtbudget.graph import TaskGraph, build_interaction_model
 from mtbudget.kernels import (KernelSpec, MultitaskInstance, SparseVector,
                               base_kernel, mt_kernel)
-from mtbudget.learners import (DEFICIT_FRAC, LearnerConfig, PerceptronBattery,
-                               compute_phi, make_learner, mtforg_bound,
-                               mtrbp_bound)
+from mtbudget.learners import (ALGORITHMS, DEFICIT_FRAC, LearnerConfig,
+                               PerceptronBattery, StepOutcome, compute_phi,
+                               make_learner, mtforg_bound, mtrbp_bound)
 from support import (dense_of, entry_queries, entry_query, entry_weights, gram_inv,
                      in_entry_order, instance_of, labelled)
 
@@ -515,6 +515,25 @@ class TestBattery:
 
     def test_sparse_and_dense_queries_in_one_battery(self):
         self.check_against_brute_force(SPEC, 3000, dense_every=3)
+
+
+@pytest.mark.filterwarnings("ignore:mtforg mistake bound")
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_step_outcomes_are_whole_step_outcome_tuples(algo):
+    """The learners build their StepOutcomes without the class constructor,
+    which checks the field count; each must still be the tuple that
+    constructor builds."""
+    rng = np.random.default_rng(21)
+    learner = make_learner(cfg(algo, TaskGraph.complete(3), budget=6), 8)
+    actions = set()
+    for e in rand_examples(rng, 120):
+        out = learner.step(*e)
+        assert type(out) is StepOutcome and len(out) == len(StepOutcome._fields) == 4
+        assert out == StepOutcome(out.prediction, out.score, out.mistake, out.action)
+        assert out.prediction in (-1, 1) and isinstance(out.score, float)
+        assert type(out.mistake) is bool and out.mistake == (e[1] * out.score <= 0)
+        actions.add(out.action)
+    assert "none" in actions and len(actions) > 1
 
 
 class TestBudgetRespected:
