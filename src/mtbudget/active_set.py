@@ -33,8 +33,9 @@ The vectors live in a SlotStore: feature-major, one column per slot, with
 a row only for the features the stored vectors use, so a sparse query's
 kernel column reads one short contiguous run per nonzero feature and
 memory is O(d + F * capacity) for F distinct stored features. Queries come
-folded into the normalized kernel, so a column is one gemv and its task
-coupling one `take` from row t of M; no k x B table is kept.
+folded into the normalized kernel, so a column is one gemv times the
+InteractionModel's coupling of the query's task with the slots' tasks; no
+k x B table is kept.
 """
 
 from __future__ import annotations
@@ -232,8 +233,7 @@ class ActiveSet:
         col = dense_kernel_vector(store.block(query, hi), store.sq[:hi], query.x,
                                   query.sq, self.spec)
         if self.kernel_mode == "multitask":
-            # M is exactly symmetric, so its row t is its column t
-            col *= self.model.inverse[query.task - 1].take(self._tasks[:hi])
+            col *= self.model.coupling(query.task, self._tasks[:hi])
         return col
 
     def _column(self, query: Query):
@@ -267,7 +267,7 @@ class ActiveSet:
         """Configured kernel of the query with itself: M_qq (the base kernel
         is normalized), or 1 in single mode."""
         if self.kernel_mode == "multitask":
-            return float(self.model.inverse[query.task - 1, query.task - 1])
+            return self.model.self_coupling(query.task)
         return 1.0
 
     def _weights_for(self, task):

@@ -22,7 +22,9 @@ SYNTH_KEYS = ("k", "d", "n", "rel", "relatedness", "noise", "seed", "margin")
 
 
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    """One JSON line; a NaN or infinite value raises ValueError instead of
+    printing a token JSON does not have."""
+    sys.stdout.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _parse_synth_spec(text):

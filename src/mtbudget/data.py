@@ -46,7 +46,9 @@ class DatasetStream:
 
     Row r holds the 1-based, strictly increasing feature ids
     `ids[indptr[r]:indptr[r+1]]`, their `values` and the 1-based task
-    `tasks[r]`; `labels[r]` is its label. Every array is read-only.
+    `tasks[r]`; `labels[r]` is its label. Every array is read-only. Every
+    task must lie in 1..k (TaskOutOfRange otherwise) and every id in 1..d
+    (ValueError).
     Build a stream from `rows = (indptr, ids, values, tasks)`; a list of
     MultitaskInstances is also accepted and converted once.
     """
@@ -77,6 +79,15 @@ class DatasetStream:
                              "indptr of %d, %d ids and %d values"
                              % (n, self.tasks.size, self.indptr.size,
                                 self.ids.size, self.values.size))
+        bad = np.flatnonzero((self.tasks < 1) | (self.tasks > self.k))
+        if bad.size:
+            raise TaskOutOfRange("example %d has task %d, outside 1..%d"
+                                 % (bad[0] + 1, self.tasks[bad[0]], self.k))
+        bad = np.flatnonzero((self.ids < 1) | (self.ids > self.d))
+        if bad.size:
+            row = np.searchsorted(self.indptr, bad[0], "right")    # one-based
+            raise ValueError("example %d has feature id %d, outside 1..%d"
+                             % (row, self.ids[bad[0]], self.d))
 
     def __len__(self):
         return self.labels.size

@@ -73,16 +73,36 @@ def _increasing(e):
     return (a[:, 0] < b[:, 0]) | ((a[:, 0] == b[:, 0]) & (a[:, 1] < b[:, 1]))
 
 
-@dataclass(frozen=True)
 class InteractionModel:
-    """M = (I + L)^-1 and c_G for one task graph."""
+    """M = (I + L)^-1 and c_G for one task graph. M is private and
+    read-only; callers read it only through the methods below. Tasks are
+    one-based, but `tasks` arrays zero-based, as an ActiveSet keeps them.
+    M is exactly symmetric, so a row is also a column."""
 
-    inverse: np.ndarray
-    cG: float
+    def __init__(self, M: np.ndarray):
+        M.flags.writeable = False
+        self._M = M
+        self.cG = float(np.sqrt(np.max(np.diag(M))))
 
     @property
     def k(self):
-        return self.inverse.shape[0]
+        return self._M.shape[0]
+
+    def coupling(self, task, tasks):
+        """M[task, tasks]: a new array, one entry per zero-based task."""
+        return self._M[task - 1].take(tasks)
+
+    def self_coupling(self, task) -> float:
+        """M[task, task]."""
+        return float(self._M[task - 1, task - 1])
+
+    def row(self, task):
+        """M's row `task`, a read-only view."""
+        return self._M[task - 1]
+
+    def columns(self, tasks):
+        """M[:, tasks]: a new k x len(tasks) array."""
+        return self._M[:, tasks]
 
 
 def build_laplacian(g: TaskGraph) -> np.ndarray:
@@ -102,8 +122,7 @@ def build_interaction_model(g: TaskGraph) -> InteractionModel:
     if residual > _SOLVE_TOL:
         raise NumericalFailure(
             "interaction solve residual %.3e exceeds %.1e" % (residual, _SOLVE_TOL))
-    cG = float(np.sqrt(np.max(np.diag(M))))
-    return InteractionModel(inverse=M, cG=cG)
+    return InteractionModel(M)
 
 
 def augment_graph(g: TaskGraph) -> TaskGraph:
@@ -139,7 +158,6 @@ def verify_proposition_3_1(g: TaskGraph) -> float:
     resistance matrix R, and combine row/column sums of R with its total
     mass and a constant offset.
     """
-    model = build_interaction_model(g)
     k = g.k
     R = resistance_matrix(augment_graph(g))  # (k+1) x (k+1)
     row = R.sum(axis=1)  # over l = 1..k+1
@@ -150,7 +168,7 @@ def verify_proposition_3_1(g: TaskGraph) -> float:
            + row[None, :k] / (2.0 * n)
            - total / (2.0 * n ** 2)  # total counts each unordered pair twice
            + (k + 2) / n ** 2)
-    return float(np.max(np.abs(rhs - model.inverse)))
+    return float(np.max(np.abs(rhs - build_interaction_model(g)._M)))
 
 
 def parse_graph_file(path) -> TaskGraph:

@@ -1,5 +1,4 @@
-"""Base kernels, the graph-induced multitask kernel and the queries the
-learners step on.
+"""Base kernels and the queries the learners step on.
 
 All learners require the normalized form of the base kernel, so that
 every single-task instance has unit self-similarity; `make_queries` folds
@@ -15,7 +14,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NumericalFailure, ZeroNormInstance
-from .graph import InteractionModel
 
 
 @dataclass(frozen=True)
@@ -52,20 +50,6 @@ class SparseVector:
         if self.indices.size:
             out[self.indices - 1] = self.values
         return out
-
-    def dot(self, other: "SparseVector") -> float:
-        a, b = self, other
-        if a.indices.size > b.indices.size:
-            a, b = b, a
-        if a.indices.size == 0:
-            return 0.0
-        pos = np.searchsorted(b.indices, a.indices)
-        pos = np.minimum(pos, b.indices.size - 1)
-        hit = b.indices[pos] == a.indices
-        return float(np.dot(a.values[hit], b.values[pos[hit]]))
-
-    def sq_norm(self) -> float:
-        return float(np.dot(self.values, self.values))
 
 
 @dataclass(frozen=True)
@@ -129,33 +113,7 @@ class KernelSpec:
         return base + (":norm" if self.normalize else "")
 
 
-def _raw(a: SparseVector, b: SparseVector, spec: KernelSpec) -> float:
-    dot = a.dot(b)
-    if spec.kind == "linear":
-        return dot
-    if spec.kind == "polynomial":
-        return (dot + spec.offset) ** spec.degree
-    sq_dist = a.sq_norm() + b.sq_norm() - 2.0 * dot
-    return float(np.exp(-spec.gamma * max(sq_dist, 0.0)))
-
-
-def base_kernel(a: SparseVector, b: SparseVector, spec: KernelSpec) -> float:
-    value = _raw(a, b, spec)
-    if not spec.normalize:
-        return value
-    saa = _raw(a, a, spec)
-    sbb = _raw(b, b, spec)
-    if saa <= 0.0 or sbb <= 0.0:
-        raise ZeroNormInstance("cannot normalize a zero self-similarity instance")
-    return value / float(np.sqrt(saa * sbb))
-
-
-def mt_kernel(a: MultitaskInstance, b: MultitaskInstance,
-              m: InteractionModel, spec: KernelSpec) -> float:
-    return float(m.inverse[a.task - 1, b.task - 1]) * base_kernel(a.x, b.x, spec)
-
-
-# -- fast paths: stored vectors feature-major, queries dense or sparse --
+# -- stored vectors feature-major, queries dense or sparse --
 
 # A stream whose rows fill less than this fraction of the d features on
 # average keeps its queries sparse (see `make_queries`). Measured on 2

@@ -126,8 +126,7 @@ class MTBudgetProjectron2(_KernelLearner):
 
     def _update(self, query, y):
         s = self.active_set
-        Mi = self.model.inverse
-        col = y * Mi[:, query.task - 1]  # weight column of a fresh insert
+        col = y * self.model.row(query.task)  # weight column of a fresh insert
         alphas, resid = s.projection(query)
         if resid <= self.config.eta:
             s.weights[:] += np.outer(col, alphas)
@@ -142,7 +141,7 @@ class MTBudgetProjectron2(_KernelLearner):
         r = int(np.argmin(damage))
         w_r = W[:, pre[r]].copy()
         gammas = s.evict(r)
-        W += gammas[None, :] * w_r[:, None] * Mi[:, s.slot_tasks]
+        W += gammas[None, :] * w_r[:, None] * self.model.columns(s.slot_tasks)
         return "insert_evict"
 
 
@@ -290,8 +289,17 @@ def compute_phi(beta_r, y_r, f_r, deficit, mistakes, cG):
     return phi, a * phi * phi + b * phi
 
 
+def _require_nonnegative(name, value):
+    if not (math.isfinite(value) and value >= 0.0):
+        raise DomainError("%s must be finite and >= 0, got %r" % (name, value))
+
+
 def mtrbp_bound(cum_loss, cG, shift, B, epsilon):
     """Expected-mistake bound of the randomized-eviction learner."""
+    _require_nonnegative("cumulative loss", cum_loss)
+    _require_nonnegative("shift", shift)
+    if not 0.0 < cG <= 1.0:     # c_G^2 = max M_ii, and I + L >= I gives M_ii <= 1
+        raise DomainError("cG must lie in (0,1], got %r" % cG)
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0,1), got %r" % epsilon)
     if B < 1:
@@ -305,6 +313,7 @@ def mtrbp_bound(cum_loss, cG, shift, B, epsilon):
 
 def mtforg_bound(cum_loss, B):
     """Deterministic mistake bound of the shrinking learner (B > 83)."""
+    _require_nonnegative("cumulative loss", cum_loss)
     if B <= FORGETRON_MIN_BUDGET:
         raise DomainError("bound needs B > %d, got %r" % (FORGETRON_MIN_BUDGET, B))
     return 4.0 * cum_loss + (B + 1.0) / (2.0 * math.log(B + 1.0))

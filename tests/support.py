@@ -5,7 +5,10 @@ builds the queries of a list of instances the way `run_stream` builds a
 stream's, from a stream of them; `labelled` pairs them with their labels
 for a test to step a learner on; `dense_of` gives a sparse query's dense form;
 `instance_of` turns a stored query back into the instance the brute-force
-`mt_kernel` / `base_kernel` oracles take.
+`mt_kernel` / `base_kernel` oracles take. Those evaluate one pair at a time,
+from the definitions, apart from the package's kernel columns; `mt_kernel`
+takes M as an array, which `inverse_of` builds independently of
+`build_interaction_model`.
 `kernel_column` and `stored_vectors` read an active set's kernel column and
 its store's vectors, which the package itself never needs whole.
 An ActiveSet keeps everything by slot; `in_entry_order` and the `entry_*`,
@@ -21,9 +24,9 @@ import math
 import numpy as np
 
 from mtbudget.data import DatasetStream
-from mtbudget.errors import ParseError, TaskOutOfRange
-from mtbudget.kernels import (MultitaskInstance, Query, SparseVector, folded_dim,
-                              make_queries)
+from mtbudget.errors import ParseError, TaskOutOfRange, ZeroNormInstance
+from mtbudget.kernels import (KernelSpec, MultitaskInstance, Query, SparseVector,
+                              folded_dim, make_queries)
 
 
 def queries_of(instances, dim, spec):
@@ -64,6 +67,51 @@ def instance_of(query, spec):
     if spec.kind == "polynomial" and spec.offset > 0:
         idx, x = idx[:-1], x[:-1] * (math.sqrt(spec.offset) / x[-1])
     return MultitaskInstance(SparseVector(idx + 1, x), query.task)
+
+
+def sparse_dot(a: SparseVector, b: SparseVector) -> float:
+    """Dot product of two sparse vectors, matched id by id."""
+    if a.indices.size > b.indices.size:
+        a, b = b, a
+    if a.indices.size == 0:
+        return 0.0
+    pos = np.searchsorted(b.indices, a.indices)
+    pos = np.minimum(pos, b.indices.size - 1)
+    hit = b.indices[pos] == a.indices
+    return float(np.dot(a.values[hit], b.values[pos[hit]]))
+
+
+def raw_kernel(a: SparseVector, b: SparseVector, spec: KernelSpec) -> float:
+    """The base kernel of `spec` before normalization."""
+    dot = sparse_dot(a, b)
+    if spec.kind == "linear":
+        return dot
+    if spec.kind == "polynomial":
+        return (dot + spec.offset) ** spec.degree
+    sq_dist = sparse_dot(a, a) + sparse_dot(b, b) - 2.0 * dot
+    return float(np.exp(-spec.gamma * max(sq_dist, 0.0)))
+
+
+def base_kernel(a: SparseVector, b: SparseVector, spec: KernelSpec) -> float:
+    """The configured base kernel, normalized when `spec` says so."""
+    value = raw_kernel(a, b, spec)
+    if not spec.normalize:
+        return value
+    saa = raw_kernel(a, a, spec)
+    sbb = raw_kernel(b, b, spec)
+    if saa <= 0.0 or sbb <= 0.0:
+        raise ZeroNormInstance("cannot normalize a zero self-similarity instance")
+    return value / float(np.sqrt(saa * sbb))
+
+
+def mt_kernel(a: MultitaskInstance, b: MultitaskInstance, M, spec: KernelSpec) -> float:
+    """The multitask kernel M[s, t] * K(x, x') of two instances."""
+    return float(M[a.task - 1, b.task - 1]) * base_kernel(a.x, b.x, spec)
+
+
+def inverse_of(g):
+    """M = (I + L)^-1 of a TaskGraph, inverted from `interaction_of`."""
+    return np.linalg.inv(interaction_of(g))
 
 
 def kernel_column(s, query):

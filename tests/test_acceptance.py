@@ -21,10 +21,11 @@ from mtbudget.data import generate_synthetic, shift_term
 from mtbudget.graph import (TaskGraph, build_interaction_model,
                             verify_proposition_3_1)
 from mtbudget.harness import baseline_active_size, run_stream
-from mtbudget.kernels import KernelSpec, MultitaskInstance, SparseVector, mt_kernel
+from mtbudget.kernels import KernelSpec, MultitaskInstance, SparseVector
 from mtbudget.learners import (DEFICIT_FRAC, LearnerConfig, compute_phi,
                                make_learner, mtforg_bound, mtrbp_bound)
-from support import entry_queries, gram_inv, in_entry_order, instance_of, labelled, query_of
+from support import (entry_queries, gram_inv, in_entry_order, instance_of, inverse_of,
+                     labelled, mt_kernel, query_of)
 
 LINEAR = KernelSpec("linear", normalize=True)
 
@@ -87,15 +88,16 @@ class TestCriterion3ActiveSetOracle:
         return query_of(MultitaskInstance(SparseVector.from_dense(rng.normal(size=d)),
                                           int(rng.integers(1, k + 1))), d, LINEAR)
 
-    def _oracle_gram(self, s, model):
+    def _oracle_gram(self, s, M):
         stored = [instance_of(q, LINEAR) for q in entry_queries(s)]
-        return np.array([[mt_kernel(a, b, model, LINEAR) for b in stored]
+        return np.array([[mt_kernel(a, b, M, LINEAR) for b in stored]
                          for a in stored])
 
     def test_inverse_after_500_ops(self):
         from mtbudget.active_set import ActiveSet
         rng = np.random.default_rng(2)
         model = build_interaction_model(TaskGraph.complete(3))
+        M = inverse_of(TaskGraph.complete(3))
         s = ActiveSet(20, 16, LINEAR, model)
         worst = 0.0
         for _ in range(500):
@@ -105,7 +107,7 @@ class TestCriterion3ActiveSetOracle:
                 q = self._random_query(rng, 16, 3)
                 s.insert(q, float(rng.normal()))
             if len(s):
-                G = self._oracle_gram(s, model)
+                G = self._oracle_gram(s, M)
                 worst = max(worst,
                             float(np.max(np.abs(gram_inv(s) @ G - np.eye(len(s))))))
         assert worst <= 1e-6
@@ -115,6 +117,7 @@ class TestCriterion3ActiveSetOracle:
         from mtbudget.active_set import ActiveSet
         rng = np.random.default_rng(3)
         model = build_interaction_model(TaskGraph.complete(3))
+        M = inverse_of(TaskGraph.complete(3))
         worst = 0.0
         for trial in range(20):
             n = int(rng.integers(2, 11))
@@ -122,7 +125,7 @@ class TestCriterion3ActiveSetOracle:
             for _ in range(n):
                 s.insert(self._random_query(rng, 12, 3),
                          float(rng.normal()))
-            G = self._oracle_gram(s, model)
+            G = self._oracle_gram(s, M)
             loo = in_entry_order(s, s.leave_one_out_residuals())
             for j in range(n):
                 idx = [i for i in range(n) if i != j]
@@ -149,7 +152,7 @@ class TestCriterion4PerceptronReduction:
         start = time.perf_counter()
         stream, _ = generate_synthetic(3, 10, 2000, 0.7, 0.1, seed=11)
         graph = TaskGraph.complete(3)
-        M = build_interaction_model(graph).inverse
+        M = inverse_of(graph)
         # independent unbudgeted multitask kernel Perceptron
         X = np.zeros((0, 10))
         betas, tasks = [], []

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from mtbudget.active_set import ActiveSet
 from mtbudget.errors import BudgetFull, NumericalFailure
 from mtbudget.graph import TaskGraph, build_interaction_model
-from mtbudget.kernels import (KernelSpec, MultitaskInstance, SparseVector,
-                              base_kernel, mt_kernel)
-from support import (entry_queries, entry_query, entry_tasks, entry_weights, gram_inv,
-                     in_entry_order, instance_of, kept_gram, query_of)
+from mtbudget.kernels import KernelSpec, MultitaskInstance, SparseVector
+from support import (base_kernel, entry_queries, entry_query, entry_tasks, entry_weights,
+                     gram_inv, in_entry_order, instance_of, inverse_of, kept_gram,
+                     mt_kernel, query_of)
 
 SPEC = KernelSpec("linear", normalize=True)
 MODEL = build_interaction_model(TaskGraph.complete(3))
+M = inverse_of(TaskGraph.complete(3))     # MODEL's M, for the oracles
 
 
 def rand_query(rng, d=6, k=3, spec=SPEC):
@@ -29,10 +30,12 @@ def make_set(budget=10, dim=6, mode="multitask", spec=SPEC, model=MODEL):
 
 
 def oracle(s, a, b):
-    """The configured kernel of two queries, by brute force."""
+    """The configured kernel of two queries, by brute force; a multitask
+    set must use MODEL."""
     a, b = instance_of(a, s.spec), instance_of(b, s.spec)
     if s.kernel_mode == "multitask":
-        return mt_kernel(a, b, s.model, s.spec)
+        assert s.model is MODEL
+        return mt_kernel(a, b, M, s.spec)
     return base_kernel(a.x, b.x, s.spec)
 
 
@@ -53,7 +56,7 @@ def near_twin(rng, q, resid_sq=4e-10, spec=SPEC):
     x = instance_of(q, spec).x.to_dense(q.x.size)
     u = rng.normal(size=x.size)
     u -= (u @ x) / (x @ x) * x
-    tilt = np.sqrt(resid_sq / MODEL.inverse[q.task - 1, q.task - 1])
+    tilt = np.sqrt(resid_sq / M[q.task - 1, q.task - 1])
     u *= np.linalg.norm(x) * np.tan(np.arcsin(tilt)) / np.linalg.norm(u)
     return query_of(MultitaskInstance(SparseVector.from_dense(x + u), q.task),
                     x.size, spec)
@@ -195,8 +198,7 @@ class TestInsert:
         b = pairs_query([(2, 1.0)], 1)
         s.insert(a, 1.0)
         s.insert(b, 1.0)
-        M11 = MODEL.inverse[0, 0]
-        assert gram_inv(s) == pytest.approx(np.eye(2) / M11, abs=1e-9)
+        assert gram_inv(s) == pytest.approx(np.eye(2) / M[0, 0], abs=1e-9)
 
     def test_reuses_projection_only_for_same_query_and_task(self):
         rng = np.random.default_rng(14)
@@ -304,8 +306,7 @@ class TestKeptGram:
                     s.evict(int(rng.integers(len(s))))
             if step % 20 == 0 or step == 399:
                 entries = [instance_of(q, spec) for q in entry_queries(s)]
-                want = np.array([[MODEL.inverse[a.task - 1, b.task - 1]
-                                  * base_kernel(a.x, b.x, spec) for b in entries]
+                want = np.array([[mt_kernel(a, b, M, spec) for b in entries]
                                  for a in entries]).reshape(len(s), len(s))
                 assert np.max(np.abs(kept_gram(s) - want), initial=0.0) <= 1e-12
         assert len(s) and s._hi <= budget + 1 < inserts

@@ -214,6 +214,23 @@ class TestBounds:
     def test_domain_error_exit_1(self, capsys):
         assert main(["bounds", "mtforg", "--B", "50"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (("mtrbp", "--cg", "nan"), "cG must lie in (0,1], got nan"),
+        (("mtrbp", "--cg", "2"), "cG must lie in (0,1], got 2.0"),
+        (("mtrbp", "--S", "-1"), "shift must be finite and >= 0, got -1.0"),
+        (("mtrbp", "--L", "inf"), "cumulative loss must be finite and >= 0, got inf"),
+        (("mtforg", "--L", "inf"), "cumulative loss must be finite and >= 0, got inf"),
+        (("mtforg", "--L", "-2"), "cumulative loss must be finite and >= 0, got -2.0"),
+    ])
+    def test_arguments_outside_the_domain_print_no_json(self, capsys, argv, message):
+        assert_one_error_line(capsys, main(["bounds", *argv, "--B", "100"]), message)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_no_command_can_print_a_non_finite_number(self, capsys, value):
+        with pytest.raises(ValueError):
+            cli._emit({"bound": value})
+        assert capsys.readouterr().out == ""
+
 
 class TestSynth:
     def test_file_round_trip(self, capsys, tmp_path):

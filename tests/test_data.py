@@ -178,6 +178,17 @@ class TestStreamArrays:
         with pytest.raises(ValueError, match="inconsistent stream arrays"):
             DatasetStream((indptr, ids, np.ones(len(ids)), tasks), np.ones(1), 1, 1)
 
+    @pytest.mark.parametrize("tasks, ids, error, message", [
+        # each used to fail only mid-run: an IndexError, or for task 0 a
+        # silent read of the last task's row of M before bincount failed
+        ([1, 3], [1, 2], TaskOutOfRange, "example 2 has task 3, outside 1..2"),
+        ([0, 1], [1, 2], TaskOutOfRange, "example 1 has task 0, outside 1..2"),
+        ([1, 2], [1, 5], ValueError, "example 2 has feature id 5, outside 1..3"),
+    ])
+    def test_tasks_and_ids_out_of_range_rejected(self, tasks, ids, error, message):
+        with pytest.raises(error, match=message):
+            DatasetStream(([0, 1, 2], ids, np.ones(2), tasks), np.ones(2), 2, 3)
+
     def test_stream_and_query_arrays_reject_writes(self, tmp_path):
         path = tmp_path / "s.mtsvm"
         path.write_text("1 0.5 1:2 3:1\n2 -1 2:4\n1 3 1:1 2:1 3:1\n")

@@ -7,7 +7,7 @@ from mtbudget.errors import DisconnectedGraph, ParseError
 from mtbudget.graph import (TaskGraph, augment_graph, build_interaction_model,
                             build_laplacian, parse_graph_file, resistance_matrix,
                             resolve_graph, verify_proposition_3_1)
-from support import components_of, interaction_of
+from support import components_of, interaction_of, inverse_of
 
 
 def random_graph(k, prob, rng):
@@ -110,34 +110,70 @@ class TestLaplacian:
             assert np.allclose(L, L.T)
 
 
+def entries(m):
+    """An InteractionModel's M in full, read through its columns."""
+    return m.columns(np.arange(m.k))
+
+
 class TestInteractionModel:
     def test_edgeless_is_identity(self):
         m = build_interaction_model(TaskGraph.edgeless(4))
-        assert np.allclose(m.inverse, np.eye(4))
+        assert np.allclose(entries(m), np.eye(4))
         assert m.cG == pytest.approx(1.0, abs=1e-12)
 
     def test_complete_3(self):
         m = build_interaction_model(TaskGraph.complete(3))
-        assert np.allclose(m.inverse, [[0.5, 0.25, 0.25],
-                                       [0.25, 0.5, 0.25],
-                                       [0.25, 0.25, 0.5]])
+        assert np.allclose(entries(m), [[0.5, 0.25, 0.25],
+                                        [0.25, 0.5, 0.25],
+                                        [0.25, 0.25, 0.5]])
         assert m.cG == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_single_task(self):
         m = build_interaction_model(TaskGraph.edgeless(1))
-        assert m.inverse.shape == (1, 1) and m.inverse[0, 0] == pytest.approx(1.0)
+        assert m.k == 1 and m.self_coupling(1) == pytest.approx(1.0)
         assert m.cG == pytest.approx(1.0)
 
     def test_inverse_is_exactly_symmetric(self):
-        # ActiveSet reads M's column t as its row t
+        # mtbprj2 reads M's row t where its back-projection reads columns,
+        # and ActiveSet reads row t against the slots' tasks
         rng = np.random.default_rng(12)
         graphs = [TaskGraph.complete(k) for k in (2, 3, 7, 40)]
         graphs += [TaskGraph.path(k) for k in (2, 5, 40)]
         graphs += [random_graph(int(rng.integers(2, 40)), rng.uniform(0.05, 0.9), rng)
                    for _ in range(20)]
         for g in graphs:
-            M = build_interaction_model(g).inverse
+            m = build_interaction_model(g)
+            M = entries(m)
             assert np.array_equal(M, M.T)
+            tasks = np.arange(g.k)
+            for t in range(1, g.k + 1):
+                assert np.array_equal(m.row(t), M[:, t - 1])
+                assert np.array_equal(m.coupling(t, tasks), m.row(t))
+                assert m.self_coupling(t) == m.row(t)[t - 1]
+
+    def test_accessors_match_an_independent_inverse(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            g = random_graph(int(rng.integers(1, 12)), rng.uniform(0.1, 0.9), rng)
+            m = build_interaction_model(g)
+            want = inverse_of(g)
+            tasks = rng.integers(g.k, size=7)
+            t = int(rng.integers(1, g.k + 1))
+            assert np.max(np.abs(m.columns(tasks) - want[:, tasks])) <= 1e-9
+            assert np.max(np.abs(m.coupling(t, tasks) - want[t - 1, tasks])) <= 1e-9
+            assert np.max(np.abs(m.row(t) - want[t - 1])) <= 1e-9
+            assert m.self_coupling(t) == pytest.approx(want[t - 1, t - 1], abs=1e-9)
+
+    def test_a_shared_model_cannot_be_written(self):
+        """Every learner of a graph may read one model: a row is a
+        read-only view, and the other accessors return copies."""
+        m = build_interaction_model(TaskGraph.complete(4))
+        before = entries(m).copy()
+        with pytest.raises(ValueError, match="read-only"):
+            m.row(2)[0] = 7.0
+        m.columns(np.arange(4))[:] = 7.0
+        m.coupling(2, np.arange(4))[:] = 7.0
+        assert np.array_equal(entries(m), before)
 
     def test_inverse_residual(self):
         rng = np.random.default_rng(11)
@@ -145,27 +181,27 @@ class TestInteractionModel:
             g = random_graph(int(rng.integers(1, 12)), rng.uniform(0.1, 0.9), rng)
             m = build_interaction_model(g)
             A = interaction_of(g)
-            assert np.max(np.abs(A @ m.inverse - np.eye(g.k))) <= 1e-9
+            assert np.max(np.abs(A @ entries(m) - np.eye(g.k))) <= 1e-9
 
     def test_diag_dominates_within_component(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             g = random_graph(int(rng.integers(2, 10)), 0.4, rng)
-            m = build_interaction_model(g)
+            M = entries(build_interaction_model(g))
             comp = components_of(g)
             for i in range(g.k):
                 for j in range(g.k):
                     if i != j and comp[i] == comp[j]:
-                        assert m.inverse[i, i] > m.inverse[i, j]
+                        assert M[i, i] > M[i, j]
 
     def test_cross_component_entries_are_zero(self):
         g = TaskGraph.from_edges(5, [(1, 2), (4, 5)])
-        m = build_interaction_model(g)
+        M = entries(build_interaction_model(g))
         comp = components_of(g)
         for i in range(5):
             for j in range(5):
                 if comp[i] != comp[j]:
-                    assert m.inverse[i, j] == pytest.approx(0.0, abs=1e-12)
+                    assert M[i, j] == pytest.approx(0.0, abs=1e-12)
 
     def test_cg_range(self):
         rng = np.random.default_rng(9)

@@ -8,14 +8,14 @@ from mtbudget import learners as learners_module
 from mtbudget.active_set import ActiveSet
 from mtbudget.data import generate_synthetic
 from mtbudget.errors import DomainError
-from mtbudget.graph import TaskGraph, build_interaction_model
-from mtbudget.kernels import (KernelSpec, MultitaskInstance, SparseVector,
-                              base_kernel, mt_kernel)
+from mtbudget.graph import TaskGraph
+from mtbudget.kernels import KernelSpec, MultitaskInstance, SparseVector
 from mtbudget.learners import (ALGORITHMS, DEFICIT_FRAC, LearnerConfig,
                                PerceptronBattery, StepOutcome, compute_phi,
                                make_learner, mtforg_bound, mtrbp_bound)
-from support import (dense_of, entry_queries, entry_query, entry_weights, gram_inv,
-                     in_entry_order, instance_of, labelled)
+from support import (base_kernel, dense_of, entry_queries, entry_query, entry_weights,
+                     gram_inv, in_entry_order, instance_of, inverse_of, labelled,
+                     mt_kernel)
 
 SPEC = KernelSpec("linear", normalize=True)
 
@@ -43,9 +43,9 @@ def stream_examples(stream):
     return labelled(stream.instances, stream.labels, stream.d, SPEC)
 
 
-def mt_oracle(a, b, model):
-    """The multitask kernel of two queries, by brute force."""
-    return mt_kernel(instance_of(a, SPEC), instance_of(b, SPEC), model, SPEC)
+def mt_oracle(a, b, M):
+    """The multitask kernel of two queries under the array M, by brute force."""
+    return mt_kernel(instance_of(a, SPEC), instance_of(b, SPEC), M, SPEC)
 
 
 def grid_phi(a, b, C):
@@ -93,7 +93,7 @@ class TestMtbprj:
     def test_projection_preserves_function(self):
         rng = np.random.default_rng(0)
         g = TaskGraph.complete(3)
-        model = build_interaction_model(g)
+        M = inverse_of(g)
         learner = make_learner(cfg("mtbprj", g, budget=10, eta=0.5), 4)
         probes = [ex(rng.normal(size=4), int(rng.integers(1, 4)), 1)[0]
                   for _ in range(100)]
@@ -107,7 +107,7 @@ class TestMtbprj:
                     before = np.array([s.predict(p) for p in probes])
                     alphas = in_entry_order(s, s.projection(query)[0])
                     kp = np.array([
-                        sum(a * mt_oracle(entry_query(s, j), p, model)
+                        sum(a * mt_oracle(entry_query(s, j), p, M)
                             for j, a in enumerate(alphas)) for p in probes])
             learner.step(query, y)
             if before is not None:
@@ -119,6 +119,7 @@ class TestMtbprj:
     def test_eviction_matches_damage_argmin(self):
         rng = np.random.default_rng(1)
         learner = make_learner(cfg("mtbprj", TaskGraph.complete(3), budget=4), 12)
+        M = inverse_of(TaskGraph.complete(3))
         evictions = 0
         for query, y in rand_examples(rng, 200, d=12):
             s = learner.active_set
@@ -128,9 +129,8 @@ class TestMtbprj:
                 entries = entry_queries(s)
                 beta = entry_weights(s)
                 # brute-force damage of each candidate over J \ {j} u {t}
-                model = learner.model
                 cand = entries + [query]
-                G = np.array([[mt_oracle(a, b, model) for b in cand]
+                G = np.array([[mt_oracle(a, b, M) for b in cand]
                               for a in cand])
                 damages = []
                 for j in range(4):
@@ -153,13 +153,13 @@ class TestMtbprj:
         rng = np.random.default_rng(2)
         stream, _ = generate_synthetic(3, 8, 500, 0.7, 0.2, seed=3)
         g = TaskGraph.complete(3)
-        model = build_interaction_model(g)
+        M = inverse_of(g)
         learner = make_learner(cfg("mtbprj", g, budget=10 ** 6, eta=1e-300), stream.d)
         beta, stored = [], []
         mist_ref, mist_got = [], []
         for t, (inst, (query, y)) in enumerate(zip(stream.instances,
                                                    stream_examples(stream))):
-            score = sum(b * mt_kernel(s, inst, model, SPEC)
+            score = sum(b * mt_kernel(s, inst, M, SPEC)
                         for b, s in zip(beta, stored))
             if y * score <= 0:
                 mist_ref.append(t)
@@ -231,7 +231,8 @@ def test_exact_repeats_at_eta_zero_keep_the_inverse_exact(algo, budget):
     distinct = [MultitaskInstance(SparseVector.from_dense(x), int(t))
                 for x, t in zip(rows, tasks)]
     if s.kernel_mode == "multitask":
-        G = np.array([[mt_kernel(a, b, learner.model, SPEC) for b in distinct]
+        M = inverse_of(g)
+        G = np.array([[mt_kernel(a, b, M, SPEC) for b in distinct]
                       for a in distinct])
     else:
         G = np.array([[base_kernel(a.x, b.x, SPEC) for b in distinct]
@@ -679,3 +680,25 @@ class TestBounds:
     def test_mtforg_domain(self):
         with pytest.raises(DomainError):
             mtforg_bound(0.0, 83)
+
+    @pytest.mark.parametrize("loss, cG, shift, message", [
+        (float("nan"), 0.5, 0.0, "cumulative loss must be finite"),
+        (float("inf"), 0.5, 0.0, "cumulative loss must be finite"),
+        (-1.0, 0.5, 0.0, "cumulative loss must be finite and >= 0"),
+        (0.0, 0.5, float("nan"), "shift must be finite"),
+        (0.0, 0.5, -0.5, "shift must be finite and >= 0"),
+        (0.0, float("nan"), 0.0, r"cG must lie in \(0,1\]"),
+        (0.0, 0.0, 0.0, r"cG must lie in \(0,1\]"),
+        (0.0, 1.5, 0.0, r"cG must lie in \(0,1\]"),
+    ])
+    def test_mtrbp_rejects_arguments_outside_the_domain(self, loss, cG, shift, message):
+        with pytest.raises(DomainError, match=message):
+            mtrbp_bound(loss, cG, shift, 100, 0.5)
+
+    def test_mtrbp_accepts_cg_of_an_isolated_task(self):
+        assert math.isfinite(mtrbp_bound(0.0, 1.0, 0.0, 100, 0.5))
+
+    @pytest.mark.parametrize("loss", [float("nan"), float("inf"), -1.0])
+    def test_mtforg_rejects_a_bad_loss(self, loss):
+        with pytest.raises(DomainError, match="cumulative loss must be finite"):
+            mtforg_bound(loss, 100)

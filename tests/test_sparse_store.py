@@ -17,16 +17,17 @@ from mtbudget.active_set import ActiveSet
 from mtbudget.data import DatasetStream
 from mtbudget.errors import NumericalFailure, ZeroNormInstance
 from mtbudget.graph import TaskGraph, build_interaction_model
-from mtbudget.kernels import (KernelSpec, MultitaskInstance, SparseVector,
-                              base_kernel, make_queries, mt_kernel)
+from mtbudget.kernels import KernelSpec, MultitaskInstance, SparseVector, make_queries
 from mtbudget.learners import ALGORITHMS, LearnerConfig, make_learner
-from support import (dense_of, entry_queries, entry_weights, in_entry_order, instance_of,
-                     kernel_column, queries_of, query_of, stored_vectors)
+from support import (base_kernel, dense_of, entry_queries, entry_weights, in_entry_order,
+                     instance_of, inverse_of, kernel_column, mt_kernel, queries_of,
+                     query_of, stored_vectors)
 
 D = 5000
 NNZ = 30
 K = 3
 MODEL = build_interaction_model(TaskGraph.path(K))
+M = inverse_of(TaskGraph.path(K))     # MODEL's M, for the oracles
 SPECS = {"linear": KernelSpec("linear", normalize=True),
          "poly": KernelSpec("polynomial", degree=2, offset=1.0, normalize=True),
          "gauss": KernelSpec("gaussian", gamma=0.5)}
@@ -55,14 +56,14 @@ def entries(s):
 def oracle_base(s, q):
     """Configured base-kernel values of q against the entries, by brute force."""
     if s.kernel_mode == "multitask":
-        return np.array([mt_kernel(e, q, s.model, s.spec) for e in entries(s)])
+        return np.array([mt_kernel(e, q, M, s.spec) for e in entries(s)])
     return np.array([base_kernel(e.x, q.x, s.spec) for e in entries(s)])
 
 
 def oracle_gram(s):
     stored = entries(s)
     if s.kernel_mode == "multitask":
-        return np.array([[mt_kernel(a, b, s.model, s.spec) for b in stored]
+        return np.array([[mt_kernel(a, b, M, s.spec) for b in stored]
                          for a in stored])
     return np.array([[base_kernel(a.x, b.x, s.spec) for b in stored]
                      for a in stored])
