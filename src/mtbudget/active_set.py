@@ -1,9 +1,9 @@
-"""Budgeted active set in one slot index space, with an incrementally
-maintained B x B matrix (the Gram matrix H or its inverse H^-1), and the
+"""Budgeted active set in one slot index space, with an optional
+incrementally maintained inverse H^-1 of its B x B Gram matrix, and the
 slot store that holds stored vectors for it and for the Perceptron battery.
 
 An entry sits in a slot that never moves, with its stored vector, task,
-weight, and row and column of the kept matrix. Weights, projection and
+weight, and row and column of H^-1. Weights, projection and
 back-projection coefficients and leave-one-out residuals are arrays by
 slot, so a predict is one dot with no gather. A free slot holds weight 0
 and zero coefficients until an insert reuses it; its other per-slot values
@@ -17,9 +17,7 @@ pending, as the bordering vector a (H^-1 times the new column, with -1 at
 the new slot) and the Schur complement delta, so H^-1 is the stored block
 plus a a^T / delta. The leave-one-out residuals read that sum's diagonal,
 and an eviction folds border and downdate into H^-1 as one rank-2
-product; any other reader folds the border in first. With H, an insert
-writes its slot's row and column from the column the same query's predict
-computed, so a stored entry's score is one O(B) dot.
+product; any other reader folds the border in first.
 
 One numerical floor, _SCHUR_MIN, guards the inverse. The Schur complement
 of an insert is the squared residual of projecting the query onto the
@@ -165,7 +163,7 @@ class ActiveSet:
 
     Every operation takes the instance as a kernels.Query (features folded
     into the normalized kernel, and task), built once by `make_queries`.
-    `keeps` names the B x B matrix kept: "inverse" (H^-1), "gram" (H) or None."""
+    `keeps` is "inverse" to keep H^-1, or None to keep no B x B matrix."""
 
     def __init__(self, budget, dim, spec: KernelSpec, model: InteractionModel,
                  kernel_mode="multitask", keeps="inverse"):
@@ -173,7 +171,7 @@ class ActiveSet:
             raise ValueError("budget must be positive")
         if kernel_mode not in ("multitask", "single"):
             raise ValueError("bad kernel_mode %r" % kernel_mode)
-        if keeps not in ("inverse", "gram", None):
+        if keeps not in ("inverse", None):
             raise ValueError("bad keeps %r" % (keeps,))
         require_normalized(spec)
         self.budget = int(budget)
@@ -183,13 +181,11 @@ class ActiveSet:
         self.n = 0
         self._cap = min(16, self.budget + 1)
         # Per slot, never moved: the stored vector (with its squared norm
-        # and Query), its zero-based task, its weight, and its row and
-        # column of the kept matrix.
+        # and Query), its zero-based task, its weight, and its row and column of H^-1.
         self._store = SlotStore(folded_dim(int(dim), spec), self._cap)
         self._tasks = np.zeros(self._cap, dtype=np.int64)
         self._W = np.zeros((model.k, self._cap) if kernel_mode == "single" else self._cap)
         self._Hinv = np.zeros((self._cap,) * 2) if keeps == "inverse" else None
-        self._H = np.zeros((self._cap,) * 2) if keeps == "gram" else None
         # the two factors of an eviction's rank-2 update of H^-1, by slot
         self._left = np.zeros((2, self._cap))
         self._right = np.zeros((2, self._cap))
@@ -236,7 +232,7 @@ class ActiveSet:
             col *= self.model.coupling(query.task, self._tasks[:hi])
         return col
 
-    def _column(self, query: Query):
+    def column(self, query: Query):
         """The query's slot column: the last predict's or projection's when
         it was of this query, and no kernel call for an empty set."""
         if self._last and self._last[0] is query:
@@ -257,7 +253,7 @@ class ActiveSet:
         if self._last and self._last[0] is query and self._last[2] is not None:
             return self._last[2:]
         self._settle()
-        col = self._column(query)
+        col = self.column(query)
         alpha = self._Hinv[:self._hi, :self._hi] @ col
         delta = self.self_kernel(query) - float(np.dot(col, alpha))
         self._last = (query, col, alpha, delta)
@@ -270,11 +266,6 @@ class ActiveSet:
             return self.model.self_coupling(query.task)
         return 1.0
 
-    def _weights_for(self, task):
-        """The weights that score an example of `task` (one-based)."""
-        w = self._W if self.kernel_mode == "multitask" else self._W[task - 1]
-        return w[:self._hi]
-
     # -- public operations --------------------------------------------
 
     def predict(self, query: Query) -> float:
@@ -282,13 +273,8 @@ class ActiveSet:
             return 0.0
         col = self._slot_column(query)
         self._last = (query, col, None, None)
-        return float(np.dot(self._weights_for(query.task), col))
-
-    def stored_score(self, slot) -> float:
-        """The predictor's score on the entry in `slot`, from its row of the
-        kept H: no kernel column is computed."""
-        return float(np.dot(self._weights_for(self._tasks[slot] + 1),
-                            self._H[slot, :self._hi]))
+        w = self._W if self.kernel_mode == "multitask" else self._W[query.task - 1]
+        return float(np.dot(w[:self._hi], col))
 
     def projection(self, query: Query):
         """(alphas by slot, residual norm) of the query's kernel function
@@ -299,9 +285,9 @@ class ActiveSet:
         return alpha, resid
 
     def insert(self, query: Query, weight, force=False):
-        """Add the query as the newest entry; `weight` is a scalar or, in
-        single mode, a k-column. Raises NumericalFailure, leaving the set
-        unchanged, when the query's Schur complement is below the floor."""
+        """Add the query as the newest entry and return its slot; `weight`
+        is a scalar or, in single mode, a k-column. Raises NumericalFailure,
+        leaving the set unchanged, when the Schur complement is below the floor."""
         if self.n >= self.budget and not force:
             raise BudgetFull("active set already holds %d entries" % self.n)
         if self._Hinv is not None:
@@ -310,8 +296,6 @@ class ActiveSet:
                 raise NumericalFailure(
                     "Schur complement %.3g of the insert is below the floor "
                     "%g: the query is already in the span" % (delta, _SCHUR_MIN))
-        elif self._H is not None:
-            col = self._column(query)
         n = self.n
         if n + 1 > self._cap:
             self._grow()
@@ -328,10 +312,7 @@ class ActiveSet:
             a = np.append(alpha, 0.0) if slot == alpha.size else alpha.copy()
             a[slot] = -1.0
             self._border = (a, delta)
-        elif self._H is not None:
-            self._H[slot, :col.size] = col
-            self._H[:col.size, slot] = col
-            self._H[slot, slot] = self.self_kernel(query)
+        return slot
 
     def evict(self, r):
         """Remove the r-th oldest entry, in slot `order[r]`, and free the
@@ -398,7 +379,6 @@ class ActiveSet:
         for name in ("_tasks", "_order", "_W", "_left", "_right"):
             arr = getattr(self, name)
             setattr(self, name, _grown(arr, arr.shape[:-1] + (new_cap,)))
-        for name in ("_Hinv", "_H"):
-            if getattr(self, name) is not None:
-                setattr(self, name, _grown(getattr(self, name), (new_cap, new_cap)))
+        if self._Hinv is not None:
+            self._Hinv = _grown(self._Hinv, (new_cap, new_cap))
         self._cap = new_cap

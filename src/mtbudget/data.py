@@ -321,8 +321,9 @@ def generate_synthetic(k, d, n, relatedness, noise, shift_schedule=None,
     (`relatedness` = 1 makes all tasks identical). Labels are the signs of
     the reference scores, flipped with probability `noise`. An optional
     schedule [(step, angle), ...] rotates all reference vectors at the
-    scheduled steps; `min_margin` rejection-samples instances whose
-    reference score magnitude falls below the margin.
+    scheduled steps (each in 1..n, by a finite angle); `min_margin`
+    rejection-samples instances whose reference score magnitude falls below
+    the margin.
     """
     for name, value, least in (("k", k, 1), ("d", d, 1), ("n", n, 0)):
         if value < least:
@@ -331,6 +332,10 @@ def generate_synthetic(k, d, n, relatedness, noise, shift_schedule=None,
         raise ValueError("relatedness must lie in [0,1]")
     if not 0.0 <= noise < 1.0:
         raise ValueError("noise must lie in [0,1)")
+    for step, angle in shift_schedule or []:
+        if not (1 <= step <= n and math.isfinite(angle)):
+            raise ValueError("shift %s:%s needs a step in 1..%d and a finite angle"
+                             % (step, angle, n))
     rng = np.random.default_rng(seed)
     u = _unit(rng.standard_normal(d))
     g = np.empty((k, d))

@@ -67,7 +67,7 @@ class _KernelLearner:
     """Common state: interaction model, active set, mistake counter."""
 
     kernel_mode = "multitask"
-    keeps = "inverse"   # the B x B matrix the active set keeps: H^-1, H or None
+    keeps = "inverse"   # "inverse": the active set keeps H^-1; None: no B x B matrix
 
     def __init__(self, config: LearnerConfig, dim: int):
         self.config = config
@@ -166,30 +166,44 @@ class MTRandomizedBudgetPerceptron(_KernelLearner):
 
 
 class MTForgetron(_KernelLearner):
-    """First-in-first-out eviction plus the self-tuned shrinking step."""
+    """First-in-first-out eviction plus the self-tuned shrinking step.
 
-    keeps = "gram"
+    `scores[slot]` is the predictor's score on the entry there from itself
+    and the entries inserted after it: an insert adds its weight times the
+    column its predict computed, and a shrink scales it with the weights.
+    Eviction is first in, first out, so the oldest entry's number is its
+    whole score, in O(B) memory and with no kernel column.
+    """
+
+    keeps = None
 
     def __init__(self, config, dim):
         super().__init__(config, dim)
         self.deficit = 0.0
+        self.scores = np.zeros(16)
 
     def _update(self, query, y):
         s = self.active_set
-        if len(s) < s.budget:
-            s.insert(query, y)
+        col = s.column(query)
+        full = len(s) >= s.budget
+        if full:    # the evictee's weight and pre-update score
+            oldest = s.order[0]
+            beta_r, f_r = float(s.weights[oldest]), float(self.scores[oldest])
+        slot = s.insert(query, y, force=full)
+        if slot == self.scores.size:
+            self.scores = np.concatenate((self.scores, np.zeros(slot)))
+        self.scores[:col.size] += y * col
+        self.scores[slot] = y * s.self_kernel(query)
+        if not full:
             return "insert"
-        oldest = s.order[0]
-        beta_r = float(s.weights[oldest])
+        s.evict(0)
         # a weight is its label times shrink factors in (0, 1], so its sign is
         # the label; a weight that underflowed to 0 zeroes every term y_r is in
         y_r = 1.0 if beta_r > 0 else -1.0
-        f_r = s.stored_score(oldest)    # pre-update prediction on the evictee
-        s.insert(query, y, force=True)
-        s.evict(0)
         phi, psi = compute_phi(beta_r, y_r, f_r, self.deficit,
                                self.mistakes, self.model.cG)
         s.weights[:] *= phi
+        self.scores *= phi
         self.deficit += psi
         return "insert_evict_shrink"
 

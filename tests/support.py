@@ -11,8 +11,8 @@ takes M as an array, which `inverse_of` builds independently of
 `build_interaction_model`.
 `kernel_column` and `stored_vectors` read an active set's kernel column and
 its store's vectors, which the package itself never needs whole.
-An ActiveSet keeps everything by slot; `in_entry_order` and the `entry_*`,
-`gram_inv` and `kept_gram` helpers read it in entry order (oldest first)
+An ActiveSet keeps everything by slot; `in_entry_order` and the `entry_*`
+and `gram_inv` helpers read it in entry order (oldest first)
 through its `order`, as the oracles index it.
 `interaction_of` builds a graph's I + L, and `components_of` its connected
 components, from its edge list alone.
@@ -153,11 +153,6 @@ def gram_inv(s):
     folded in."""
     s._settle()
     return s._Hinv[np.ix_(s.order, s.order)]
-
-
-def kept_gram(s):
-    """A copy of the Gram matrix H an ActiveSet keeps, in entry order."""
-    return s._H[np.ix_(s.order, s.order)]
 
 
 def interaction_of(g):

@@ -8,8 +8,8 @@ from mtbudget.errors import BudgetFull, NumericalFailure
 from mtbudget.graph import TaskGraph, build_interaction_model
 from mtbudget.kernels import KernelSpec, MultitaskInstance, SparseVector
 from support import (base_kernel, entry_queries, entry_query, entry_tasks, entry_weights,
-                     gram_inv, in_entry_order, instance_of, inverse_of, kept_gram,
-                     mt_kernel, query_of)
+                     gram_inv, in_entry_order, instance_of, inverse_of, mt_kernel,
+                     query_of)
 
 SPEC = KernelSpec("linear", normalize=True)
 MODEL = build_interaction_model(TaskGraph.complete(3))
@@ -66,6 +66,7 @@ def near_twin(rng, q, resid_sq=4e-10, spec=SPEC):
     (dict(budget=0), "budget must be positive"),
     (dict(kernel_mode="shared"), "bad kernel_mode 'shared'"),
     (dict(keeps="inverse_gram"), "bad keeps 'inverse_gram'"),
+    (dict(keeps="gram"), "bad keeps 'gram'"),
 ])
 def test_bad_configuration_is_refused(kw, message):
     args = dict(budget=4, dim=6, spec=SPEC, model=MODEL) | kw
@@ -280,38 +281,6 @@ class TestEvict:
         assert gammas == pytest.approx(np.linalg.solve(sub, G[idx, r]), abs=1e-6)
 
 
-class TestKeptGram:
-    @pytest.mark.parametrize("kernel", ["linear:norm", "poly:3:1:norm"])
-    def test_live_pairs_match_the_oracle_after_slot_reuse(self, kernel):
-        """A set that keeps H writes each insert's row and column, from the
-        predict's column when one of the same query came just before. Over
-        random inserts, forced inserts and evictions that reuse freed slots,
-        every live pair must stay M[t_i, t_j] * base_kernel."""
-        spec = KernelSpec.parse(kernel)
-        rng = np.random.default_rng(16)
-        budget = 6
-        s = ActiveSet(budget, 8, spec, MODEL, keeps="gram")
-        inserts = 0
-        for step in range(400):
-            op = rng.choice(["insert", "over", "evict"])
-            if op == "evict" and len(s):
-                s.evict(int(rng.integers(len(s))))
-            elif op != "evict" and (op == "over" or len(s) < budget):
-                q = rand_query(rng, d=8, spec=spec)
-                if rng.random() < 0.5:
-                    s.predict(q)
-                s.insert(q, rng.normal(), force=len(s) >= budget)
-                inserts += 1
-                if len(s) > budget:
-                    s.evict(int(rng.integers(len(s))))
-            if step % 20 == 0 or step == 399:
-                entries = [instance_of(q, spec) for q in entry_queries(s)]
-                want = np.array([[mt_kernel(a, b, M, spec) for b in entries]
-                                 for a in entries]).reshape(len(s), len(s))
-                assert np.max(np.abs(kept_gram(s) - want), initial=0.0) <= 1e-12
-        assert len(s) and s._hi <= budget + 1 < inserts
-
-
 class TestRandomizedMaintenance:
     def test_insert_evict_interleaving(self):
         rng = np.random.default_rng(12)
@@ -335,7 +304,7 @@ class TestInsertionOrder:
                         min_size=1, max_size=40),
            budget=st.integers(1, 6),
            mode=st.sampled_from(["multitask", "single"]),
-           keeps=st.sampled_from(["inverse", "gram", None]))
+           keeps=st.sampled_from(["inverse", None]))
     def test_entries_follow_an_insertion_order_list(self, ops, budget, mode, keeps):
         """An insert appends and an eviction closes the gap, so entry j is
         the j-th oldest survivor and entry 0 the oldest: the entries and

@@ -257,6 +257,15 @@ class TestSynth:
         assert_one_error_line(capsys, code, message)
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("shift", ["9:0.5", "0:0.5", "2:nan"])
+    def test_bad_shift_fails_cleanly_and_writes_nothing(self, capsys, tmp_path, shift):
+        out_path = tmp_path / "s.mtsvm"
+        code = main(["synth", "--k", "2", "--d", "3", "--n", "5", "--shift", shift,
+                     "--out", str(out_path)])
+        assert_one_error_line(capsys, code,
+                              "shift %s needs a step in 1..5 and a finite angle" % shift)
+        assert not out_path.exists()
+
     def test_bad_synth_spec_of_run_fails_cleanly(self, capsys):
         code = main(["run", "--algo", "mtrbp", "--graph", "complete",
                      "--synth", "k=0,d=5,n=10"])

@@ -390,6 +390,15 @@ class TestSynthetic:
         assert np.linalg.norm(w1 - w0) > 1e-3
         assert np.linalg.norm(w1, axis=1) == pytest.approx(np.ones(3))
 
+    @pytest.mark.parametrize("entry", [(9, 0.5), (0, 0.5), (-1, 0.5),
+                                       (2, float("nan")), (2, float("inf"))])
+    def test_bad_shift_entry_is_named(self, entry):
+        """A step outside 1..n once applied no shift, and a NaN angle once
+        failed as a margin rejection sampling that did not terminate."""
+        with pytest.raises(ValueError, match="^shift %s:%s needs a step in 1..5 "
+                           "and a finite angle$" % entry):
+            generate_synthetic(2, 3, 5, 0.5, 0.0, shift_schedule=[(1, 0.1), entry])
+
 
 class TestShiftTerm:
     def test_stationary_is_zero(self):

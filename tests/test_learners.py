@@ -285,7 +285,7 @@ def test_one_kernel_column_per_predict_and_projection(algo, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:mtforg mistake bound")
 def test_mtforg_scores_its_evictee_without_a_kernel_column(monkeypatch):
-    """mtforg reads the evictee's score from the kept H, so n steps compute
+    """mtforg reads the evictee's score from its running scores, so n steps compute
     n - 1 kernel columns: one per predict, none on the first (empty) step."""
     calls = [0]
     real_kernel_vector = active_set_module.dense_kernel_vector
@@ -459,6 +459,44 @@ class TestMtforg:
             assert learner.deficit <= DEFICIT_FRAC * cG * cG * learner.mistakes
             assert len(learner.active_set) <= 4
         assert shrinks > 0
+
+    @pytest.mark.filterwarnings("ignore:mtforg mistake bound")
+    @pytest.mark.parametrize("kernel", ["linear:norm", "poly:3:1:norm"])
+    def test_oldest_running_score_matches_the_oracle(self, kernel):
+        """Through inserts into freed slots and shrinks, the running score
+        of the oldest entry stays its whole score: at every full-budget step
+        it is sum_j w_j * M[t_r, t_j] * K(x_r, x_j) from the definitions."""
+        spec = KernelSpec.parse(kernel)
+        rng = np.random.default_rng(16)
+        M = inverse_of(TaskGraph.complete(3))
+        learner = make_learner(cfg("mtforg", TaskGraph.complete(3), budget=6,
+                                   kernel=spec), 8)
+        s = learner.active_set
+        reused = 0      # checks after the first eviction: every insert reuses a slot
+        for _ in range(300):
+            if len(s) == 6:
+                entries = [instance_of(q, spec) for q in entry_queries(s)]
+                want = sum(w * mt_kernel(entries[0], e, M, spec)
+                           for w, e in zip(entry_weights(s), entries))
+                assert abs(learner.scores[s.order[0]] - want) <= 1e-10
+                reused += s._hi == 7
+            inst = MultitaskInstance(SparseVector.from_dense(rng.normal(size=8)),
+                                     int(rng.integers(1, 4)))
+            learner.step(*labelled([inst], [rng.choice((-1, 1))], 8, spec)[0])
+        assert s._hi == 7 and reused >= 100
+
+    def test_keeps_no_quadratic_array(self):
+        """After a run at B = 100 that evicts, no array the learner, its
+        active set or its slot store holds has B^2 elements or more."""
+        stream, _ = generate_synthetic(3, 20, 2000, 0.5, 0.1, seed=0)
+        learner = make_learner(cfg("mtforg", TaskGraph.complete(3), budget=100),
+                               stream.d)
+        actions = [learner.step(*e).action for e in stream_examples(stream)]
+        assert actions.count("insert_evict_shrink") >= 20
+        s = learner.active_set
+        sizes = [v.size for obj in (learner, s, s._store) for v in vars(obj).values()
+                 if isinstance(v, np.ndarray)]
+        assert len(sizes) >= 5 and max(sizes) < 100 ** 2
 
     def test_small_budget_warns(self):
         with pytest.warns(UserWarning):
