@@ -34,6 +34,19 @@ memory is O(d + F * capacity) for F distinct stored features. Queries come
 folded into the normalized kernel, so a column is one gemv times the
 InteractionModel's coupling of the query's task with the slots' tasks; no
 k x B table is kept.
+
+A run of upcoming dense queries can be opened as a window instead: one
+product gives the block of their kernels against every slot (capacity x
+window) and against one another, and one more the scores of all of
+them. Between `seek(r)` and `rescore()` a step runs on window
+row r: its predict reads the kept score and the block's column, which
+the projection and the insert then reuse, so no kernel is evaluated. An
+insert of row r writes the new slot's row of the block for the later
+rows, from the window's own kernels; an eviction writes nothing, since a
+freed slot's weight is 0 until an insert reuses it. `rescore` then
+re-scores the later rows from the block, in one product with the weights
+(in single mode, each row with its task's weights). Kernels are only ever
+evaluated by kernels.dense_kernel_vector.
 """
 
 from __future__ import annotations
@@ -185,15 +198,25 @@ class ActiveSet:
         self._store = SlotStore(folded_dim(int(dim), spec), self._cap)
         self._tasks = np.zeros(self._cap, dtype=np.int64)
         self._W = np.zeros((model.k, self._cap) if kernel_mode == "single" else self._cap)
-        self._Hinv = np.zeros((self._cap,) * 2) if keeps == "inverse" else None
-        # the two factors of an eviction's rank-2 update of H^-1, by slot
-        self._left = np.zeros((2, self._cap))
-        self._right = np.zeros((2, self._cap))
+        self._Hinv = self._left = self._right = None
+        if keeps == "inverse":
+            self._Hinv = np.zeros((self._cap,) * 2)
+            # the two factors of an eviction's rank-2 update of H^-1, by slot
+            self._left = np.zeros((2, self._cap))
+            self._right = np.zeros((2, self._cap))
         self._hi = 0        # slots ever used
         self._free = []     # slots below _hi that hold no entry
         self._order = np.zeros(self._cap, dtype=np.intp)   # live slots, oldest first
         self._border = None     # (a, delta) of an insert not yet in _Hinv
         self._last = None       # the last predict's or projection's terms
+        # An open window: its queries with their zero-based tasks and
+        # their kernels with one another, the block of kernels by slot and
+        # window row, the rows' scores, and the row a step is on (None
+        # between steps).
+        self._window = self._window_tasks = self._own = None
+        self._block = None
+        self._scores = None
+        self._row = None
 
     # -- views ---------------------------------------------------------
 
@@ -271,6 +294,10 @@ class ActiveSet:
     def predict(self, query: Query) -> float:
         if self.n == 0:
             return 0.0
+        row = self._row
+        if row is not None and query is self._window[row]:
+            self._last = (query, self._block[:self._hi, row], None, None)
+            return float(self._scores[row])
         col = self._slot_column(query)
         self._last = (query, col, None, None)
         w = self._W if self.kernel_mode == "multitask" else self._W[query.task - 1]
@@ -307,6 +334,12 @@ class ActiveSet:
         self._W[..., slot] = weight
         self.n = n + 1
         self._last = None
+        row = self._row
+        if row is not None and query is self._window[row]:
+            # the new slot's kernels with the later window rows, from the
+            # window's own; an evicted slot needs no write, as its weight
+            # stays 0 until an insert reuses it
+            self._block[slot, row + 1:] = self._own[row, row + 1:]
         if self._Hinv is not None:
             # alpha covers the slots before the insert; a new slot extends it
             a = np.append(alpha, 0.0) if slot == alpha.size else alpha.copy()
@@ -362,6 +395,57 @@ class ActiveSet:
             diag = diag + a * a / delta
         return np.sqrt(1.0 / np.maximum(diag, 1e-300))
 
+    # -- a window of dense queries -------------------------------------
+
+    def open_window(self, queries):
+        """Score the next dense queries of the stream, in order, from one
+        kernel block against every slot, and keep the block and the
+        scores. Returns the scores, which the set keeps current: between
+        `seek(r)` and `rescore()` a step may run on query r, and only on it."""
+        _, xs, sqs, tasks = zip(*queries)
+        X, sq, tasks = np.array(xs), np.array(sqs), np.array(tasks) - 1
+        cap = self._cap
+        store = self._store
+        # every slot and the window's own queries, as one query block
+        # against the window: one row each; the rows past the capacity,
+        # the window's own kernels, are read only through self._own
+        block = dense_kernel_vector(X.T, sq, np.concatenate((store.block(queries[0], cap).T, X)),
+                                    np.concatenate((store.sq, sq)), self.spec)
+        if self.kernel_mode == "multitask":
+            block *= self.model.couplings(np.concatenate((self._tasks, tasks)), tasks)
+        self._block = block
+        self._window, self._window_tasks, self._own = queries, tasks, block[cap:]
+        self._scores = np.empty(len(queries))
+        self._row = None
+        self._last = None
+        self._score_rows(0)
+        return self._scores
+
+    def seek(self, row):
+        """Let a step run on the window's query `row`: its predict reads the
+        kept score and slot column, and an insert of it writes the new
+        slot's kernel values with the later rows into the block."""
+        self._row = row
+
+    def rescore(self):
+        """Re-score the window rows after the current one under the model
+        the step there left, and leave the row."""
+        start = self._row + 1
+        self._row = None
+        if start < self._scores.size:
+            self._score_rows(start)
+
+    def _score_rows(self, start):
+        """Scores of window rows start.. from the block: one product with
+        the weights, or in single mode with each row's task weights."""
+        hi = self._hi
+        block = self._block[:hi, start:]
+        if self.kernel_mode == "multitask":
+            self._scores[start:] = self._W[:hi] @ block
+        else:
+            W = self._W.take(self._window_tasks[start:], axis=0)[:, :hi]
+            np.vecdot(W, block.T, out=self._scores[start:])
+
     # -- maintenance ---------------------------------------------------
 
     def _settle(self):
@@ -378,7 +462,10 @@ class ActiveSet:
         self._store.resize(new_cap)
         for name in ("_tasks", "_order", "_W", "_left", "_right"):
             arr = getattr(self, name)
-            setattr(self, name, _grown(arr, arr.shape[:-1] + (new_cap,)))
+            if arr is not None:
+                setattr(self, name, _grown(arr, arr.shape[:-1] + (new_cap,)))
+        if self._block is not None:
+            self._block = _grown(self._block[:self._cap], (new_cap, self._block.shape[1]))
         if self._Hinv is not None:
             self._Hinv = _grown(self._Hinv, (new_cap, new_cap))
         self._cap = new_cap

@@ -322,8 +322,9 @@ def generate_synthetic(k, d, n, relatedness, noise, shift_schedule=None,
     the reference scores, flipped with probability `noise`. An optional
     schedule [(step, angle), ...] rotates all reference vectors at the
     scheduled steps (each in 1..n, by a finite angle); `min_margin`
-    rejection-samples instances whose reference score magnitude falls below
-    the margin.
+    (finite, at most 1: a unit instance scores at most 1 against a unit
+    reference) rejection-samples instances whose reference score magnitude
+    falls below the margin.
     """
     for name, value, least in (("k", k, 1), ("d", d, 1), ("n", n, 0)):
         if value < least:
@@ -332,6 +333,8 @@ def generate_synthetic(k, d, n, relatedness, noise, shift_schedule=None,
         raise ValueError("relatedness must lie in [0,1]")
     if not 0.0 <= noise < 1.0:
         raise ValueError("noise must lie in [0,1)")
+    if not (math.isfinite(min_margin) and min_margin <= 1.0):
+        raise ValueError("margin must be finite and at most 1, got %r" % min_margin)
     for step, angle in shift_schedule or []:
         if not (1 <= step <= n and math.isfinite(angle)):
             raise ValueError("shift %s:%s needs a step in 1..%d and a finite angle"

@@ -92,6 +92,12 @@ class InteractionModel:
         """M[task, tasks]: a new array, one entry per zero-based task."""
         return self._M[task - 1].take(tasks)
 
+    def couplings(self, rows, tasks):
+        """M[rows][:, tasks]: a new len(rows) x len(tasks) array, both
+        zero-based. By symmetry it is gathered from M's rows `tasks`, so only
+        len(tasks) x k entries are copied on the way."""
+        return self._M.take(tasks, axis=0)[:, rows].T
+
     def self_coupling(self, task) -> float:
         """M[task, task]."""
         return float(self._M[task - 1, task - 1])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from operator import itemgetter
@@ -16,6 +17,9 @@ from .kernels import KernelSpec, make_queries
 from .learners import LearnerConfig, make_learner
 
 _prediction = itemgetter(0)     # of a learner's StepOutcome
+
+# Steps a kernel learner on dense queries scores as one block.
+WINDOW = 64
 
 
 def _f_measure(tp, fp, fn):
@@ -53,9 +57,12 @@ def run_stream(stream: DatasetStream, config: LearnerConfig,
     """Drive one learner over a binarized stream; predictions are scored
     with the pre-update state of each step. Each example's query is built
     once, in the form (sparse or dense) the stream's density favours, so a
-    sparse stream is never densified.
+    sparse stream is never densified. A kernel learner on dense queries
+    takes them a window of up to WINDOW at a time and is stepped only at
+    its mistakes (`step_window`); sparse queries and the Perceptron
+    battery go one `step` per example.
 
-    The loop keeps one byte per step, the prediction, and |S| at each
+    The loop keeps whether each step predicted +1, and |S| at each
     trajectory mark (every 1% of the steps, and the last); the confusion
     counts and the trajectory's F are tallied from them afterwards."""
     if len(stream) == 0:
@@ -69,25 +76,15 @@ def run_stream(stream: DatasetStream, config: LearnerConfig,
         raise TaskOutOfRange("the stream has %d tasks but the graph has only %d"
                              % (stream.k, k))
     learner = make_learner(config, dim=stream.d)
-    step = learner.step
     queries = make_queries(stream, config.kernel)
-    labels = stream.labels.astype(np.int64).tolist()
     total = len(queries) * epochs
     every = max(1, total // 100)
     marks = list(range(every, total, every)) + [total]
-    qs = chain.from_iterable(repeat(queries, epochs))
-    ys = chain.from_iterable(repeat(labels, epochs))
-    predictions = array("b")
-    sizes = []
-    done = 0
-    for mark in marks:
-        predictions.extend(map(_prediction, map(step, islice(qs, mark - done),
-                                                islice(ys, mark - done))))
-        sizes.append(learner.active_size)
-        done = mark
+    windowed = queries[0].idx is None and hasattr(learner, "step_window")
+    run = _run_windows if windowed else _run_each
+    positive, sizes = run(learner, queries, stream.labels.astype(np.int64).tolist(), marks)
     # cell 0..3 = tp, fp, fn, tn, from the prediction's and the label's sign
-    cell = np.frombuffer(predictions, dtype=np.int8) != 1
-    cell = 2 * cell + np.tile(stream.labels != 1, epochs)
+    cell = 2 * ~positive + np.tile(stream.labels != 1, epochs)
     per_task = np.bincount(4 * np.tile(stream.tasks - 1, epochs) + cell,
                            minlength=4 * k).reshape(k, 4)
     # the counts up to each mark: a bincount by segment between marks, summed
@@ -98,6 +95,44 @@ def run_stream(stream: DatasetStream, config: LearnerConfig,
                   for mark, (tp, fp, fn, _), size in zip(marks, upto, sizes)]
     return StreamMetrics(mistakes=learner.mistakes, per_task=per_task,
                          trajectory=trajectory, final_active=learner.active_size)
+
+
+def _run_each(learner, queries, labels, marks):
+    """Step the learner once per example, over as many passes of the
+    queries as the last mark needs. Returns whether each step predicted +1,
+    and |S| at each mark."""
+    step = learner.step
+    qs = chain.from_iterable(repeat(queries))
+    ys = chain.from_iterable(repeat(labels))
+    predictions = array("b")
+    sizes = []
+    done = 0
+    for mark in marks:
+        predictions.extend(map(_prediction, map(step, islice(qs, mark - done),
+                                                islice(ys, mark - done))))
+        sizes.append(learner.active_size)
+        done = mark
+    return np.frombuffer(predictions, dtype=np.int8) == 1, sizes
+
+
+def _run_windows(learner, queries, labels, marks):
+    """`_run_each` for a kernel learner on dense queries: it steps through
+    windows of at most WINDOW examples, cut at each pass's end (see
+    `step_window`)."""
+    n, total = len(queries), marks[-1]
+    positive = []
+    sizes = []
+    done = seen = 0
+    while done < total:
+        i = done % n
+        m = min(WINDOW, total - done, n - i)
+        inside = bisect_right(marks, done + m, lo=seen)
+        scores, at = learner.step_window(queries[i:i + m], labels[i:i + m],
+                                         [mark - done for mark in marks[seen:inside]])
+        positive.append(scores >= 0)
+        sizes += at
+        done, seen = done + m, inside
+    return np.concatenate(positive), sizes
 
 
 def baseline_active_size(stream: DatasetStream, kernel: KernelSpec) -> int:

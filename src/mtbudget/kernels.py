@@ -218,10 +218,14 @@ def dense_kernel_vector(X: np.ndarray, sq_norms: np.ndarray, q: np.ndarray,
 
     X is feature-major, one column per stored vector, as a SlotStore holds
     them; `sq_norms` and `q_sq` are the squared norms the gaussian reads.
+    A 2-D q is a block of queries, one per row, with `q_sq` an array of
+    their squared norms; the result then has one row per query.
     """
     dots = q @ X
     if spec.kind == "linear":
         return dots
     if spec.kind == "polynomial":
         return dots ** spec.degree
+    if dots.ndim == 2:
+        q_sq = q_sq[:, None]
     return np.exp(-spec.gamma * np.maximum(sq_norms + q_sq - 2.0 * dots, 0.0))

@@ -7,7 +7,9 @@ query is the example's kernels.Query (built once per example by
 expansion, then update only when the signed score is a mistake
 (y * score <= 0). The emitted prediction at score exactly 0 is +1 but
 the update still fires. Every learner also exposes `mistakes` and
-`active_size`.
+`active_size`. The four kernel learners also take a window of dense
+queries at once through `step_window`, which calls `step` only at the
+window's mistakes.
 """
 
 from __future__ import annotations
@@ -90,6 +92,34 @@ class _KernelLearner:
             action = self._update(query, y)
         return tuple.__new__(StepOutcome,
                              (1 if score >= 0 else -1, score, mistake, action))
+
+    def step_window(self, queries, labels, marks=()):
+        """Step through consecutive dense queries with their labels. Returns
+        the score each step predicts from, and |S| after each of `marks`
+        (increasing counts of steps into the window). The active set scores
+        the window as one kernel block and keeps it current, so only a
+        mistake calls `step`, which reads its score and column there."""
+        s = self.active_set
+        scores = s.open_window(queries)
+        sizes = []
+        row = 0
+        for stop in (*marks, None):
+            while True:
+                # the first mistake in rows row..stop-1; at a mistake rate
+                # near 30% a plain loop is cheaper than array operations
+                for row, score in enumerate(scores[row:stop].tolist(), row):
+                    if labels[row] * score <= 0:
+                        break
+                else:
+                    break
+                s.seek(row)
+                self.step(queries[row], labels[row])
+                s.rescore()
+                row += 1
+            if stop is None:
+                return scores, sizes
+            row = stop
+            sizes.append(self.active_size)
 
     def _update(self, query, y):
         raise NotImplementedError

@@ -271,6 +271,11 @@ class TestSynth:
                      "--synth", "k=0,d=5,n=10"])
         assert_one_error_line(capsys, code, "k must be at least 1, got 0")
 
+    def test_bad_synth_margin_of_run_fails_cleanly(self, capsys):
+        code = main(["run", "--algo", "mtrbp", "--graph", "complete",
+                     "--synth", "k=2,d=3,n=5,margin=nan"])
+        assert_one_error_line(capsys, code, "margin must be finite and at most 1, got nan")
+
     def test_runs_consume_synth_file(self, capsys, tmp_path):
         out_path = tmp_path / "s.mtsvm"
         run_cli(capsys, "synth", "--k", "2", "--d", "5", "--n", "80",

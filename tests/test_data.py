@@ -366,6 +366,20 @@ class TestSynthetic:
             margin = y * float(refs.weights[inst.task - 1] @ x)
             assert margin >= 0.2 - 1e-12
 
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), -float("inf"),
+                                        1.5])
+    def test_bad_min_margin_is_named(self, margin):
+        """A margin no unit instance can reach once failed as a margin
+        rejection sampling that did not terminate."""
+        with pytest.raises(ValueError, match="^margin must be finite and at most 1, "
+                           "got %r$" % margin):
+            generate_synthetic(2, 3, 5, 0.5, 0.0, min_margin=margin)
+
+    def test_negative_min_margin_rejects_nothing(self):
+        a, _ = generate_synthetic(2, 3, 20, 0.5, 0.0, seed=7, min_margin=-0.5)
+        b, _ = generate_synthetic(2, 3, 20, 0.5, 0.0, seed=7)
+        assert np.array_equal(a.values, b.values)
+
     def test_noise_flip_rate(self):
         stream, refs = generate_synthetic(2, 8, 4000, 0.8, 0.25, seed=6)
         flips = 0

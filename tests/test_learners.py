@@ -497,6 +497,12 @@ class TestMtforg:
         sizes = [v.size for obj in (learner, s, s._store) for v in vars(obj).values()
                  if isinstance(v, np.ndarray)]
         assert len(sizes) >= 5 and max(sizes) < 100 ** 2
+        # nor the factor buffers of H^-1's updates, which only a set with
+        # H^-1 allocates
+        assert s._Hinv is None and s._left is None and s._right is None
+        kept = make_learner(cfg("mtbprj", TaskGraph.complete(3), budget=100),
+                            stream.d).active_set
+        assert kept._left.shape == kept._right.shape == (2, kept._cap)
 
     def test_small_budget_warns(self):
         with pytest.warns(UserWarning):

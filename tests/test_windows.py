@@ -1,0 +1,159 @@
+"""Windowed stepping: `run_stream` on dense queries scores each window of
+examples from one kernel block and steps a kernel learner only at its
+mistakes. It must give what stepping the same learner one example at a
+time gives: the same decisions and outputs, and scores within 1e-12 per
+unit of the largest weight (mtforg, whose shrinks amplify rounding, by its
+decisions only). A score sums weight times kernel terms with |kernel| <= 1,
+and the block product rounds kernel values differently from a per-example
+column, so the difference scales with the weights: mtbprj2 on a span that
+saturates (20 features, B = 40, three passes) grows a weight to 38 and
+differs by 2.1e-12, while no other case here passes 4e-13."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from mtbudget import harness
+from mtbudget.data import DatasetStream, generate_synthetic
+from mtbudget.graph import TaskGraph
+from mtbudget.kernels import KernelSpec, make_queries
+from mtbudget.learners import LearnerConfig, make_learner
+
+KERNELS = ["linear:norm", "poly:2:1:norm", "gauss:0.5"]
+GRAPHS = {"complete": TaskGraph.complete(3), "edgeless": TaskGraph.edgeless(3)}
+# (n, epochs, budget): n < 64 over three passes, and n not a multiple of 64
+# at a budget that evicts from the first window on or one that grows the
+# capacity (16, 32, 41) inside the first window
+CASES = [(40, 3, 12), (150, 1, 12), (150, 3, 40)]
+
+
+def windowed_run(stream, config, epochs, monkeypatch):
+    """`run_stream`'s metrics, the score of every step its windows took,
+    the learner, and per window what happened inside it."""
+    runs = []
+    real = harness.make_learner
+
+    def make(config, dim):
+        learner = real(config, dim)
+        s = learner.active_set
+        scores, events = [], []
+        insert, evict, step_window = s.insert, s.evict, learner.step_window
+
+        def recorded_insert(query, weight, force=False):
+            hi = s._hi
+            slot = insert(query, weight, force)
+            events[-1]["reuse"] += slot < hi
+            return slot
+
+        def recorded_evict(r):
+            events[-1]["evict"] += 1
+            return evict(r)
+
+        def recorded_window(queries, labels, marks):
+            events.append(Counter(cap=s._cap))
+            window_scores, sizes = step_window(queries, labels, marks)
+            scores.append(window_scores.copy())
+            events[-1]["grew"] = s._cap > events[-1]["cap"]
+            return window_scores, sizes
+
+        s.insert, s.evict = recorded_insert, recorded_evict
+        learner.step_window = recorded_window
+        runs.append((learner, scores, events))
+        return learner
+
+    monkeypatch.setattr(harness, "make_learner", make)
+    metrics = harness.run_stream(stream, config, epochs=epochs)
+    (learner, scores, events), = runs
+    return metrics, np.concatenate(scores), learner, events
+
+
+def stepped_run(stream, config, epochs):
+    """The outputs of `run_stream`, recounted from one `step` per example
+    of a fresh learner: per-task counts, trajectory, scores and the learner."""
+    learner = make_learner(config, stream.d)
+    queries = make_queries(stream, config.kernel)
+    labels = stream.labels.astype(np.int64).tolist()
+    total = len(queries) * epochs
+    every = max(1, total // 100)
+    per_task = np.zeros((config.graph.k, 4), dtype=np.int64)
+    trajectory, scores = [], []
+    for step in range(1, total + 1):
+        query, y = queries[(step - 1) % len(queries)], labels[(step - 1) % len(queries)]
+        out = learner.step(query, y)
+        scores.append(out.score)
+        per_task[query.task - 1, 2 * (out.prediction != 1) + (y != 1)] += 1
+        if step % every == 0 or step == total:
+            tp, fp, fn = per_task.sum(axis=0)[:3].tolist()
+            f = 2.0 * tp / (2 * tp + fp + fn) if tp + fp + fn else 0.0
+            trajectory.append((step, f, learner.active_size))
+    return per_task, trajectory, np.array(scores), learner
+
+
+@pytest.mark.filterwarnings("ignore:mtforg mistake bound")
+@pytest.mark.parametrize("n, epochs, budget", CASES)
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("algo", ["mtbprj", "mtbprj2", "mtrbp", "mtforg"])
+def test_windows_match_stepping_each_example(monkeypatch, algo, kernel, graph, n,
+                                             epochs, budget):
+    stream, _ = generate_synthetic(3, 20, n, 0.6, 0.2, seed=n + budget)
+    config = LearnerConfig(algo, GRAPHS[graph], budget, eta=0.05,
+                           kernel=KernelSpec.parse(kernel), seed=3)
+    metrics, scores, learner, events = windowed_run(stream, config, epochs, monkeypatch)
+    per_task, trajectory, want, reference = stepped_run(stream, config, epochs)
+
+    assert np.array_equal(scores >= 0, want >= 0)      # every prediction
+    assert np.array_equal(np.asarray(metrics.per_task), per_task)
+    assert metrics.trajectory == trajectory
+    assert metrics.mistakes == learner.mistakes == reference.mistakes
+    assert metrics.final_active == learner.active_size == reference.active_size
+    if algo != "mtforg":
+        scale = max(1.0, float(np.max(np.abs(reference.active_set.weights))))
+        assert np.max(np.abs(scores - want)) <= 1e-12 * scale
+    # the windows did what the case is for: a window never spans two passes
+    assert len(events) == -(-n // 64) * epochs
+    if budget == 12:
+        assert any(e["evict"] and e["reuse"] for e in events)
+    else:
+        assert events[0]["grew"]
+
+
+@pytest.mark.parametrize("algo, dense", [("mtrbp", True), ("mtrbp", False),
+                                         ("perceptron_battery", True)])
+def test_only_kernel_learners_on_dense_queries_take_windows(monkeypatch, algo, dense):
+    """Sparse queries and the Perceptron battery step one example at a time."""
+    calls = Counter()
+    real = harness.make_learner
+
+    def make(config, dim):
+        learner = real(config, dim)
+        step, step_window = learner.step, getattr(learner, "step_window", None)
+
+        def counted_step(query, y):
+            calls["step"] += 1
+            return step(query, y)
+
+        def counted_window(queries, labels, marks):
+            calls["window"] += 1
+            return step_window(queries, labels, marks)
+
+        learner.step = counted_step
+        if step_window is not None:
+            learner.step_window = counted_window
+        return learner
+
+    monkeypatch.setattr(harness, "make_learner", make)
+    rng = np.random.default_rng(0)
+    n, d = 100, 20 if dense else 200     # one nonzero per row: sparse at d = 200
+    ids = rng.integers(1, d + 1, n) if not dense else None
+    rows = (np.arange(n + 1) * (d if dense else 1),
+            np.tile(np.arange(1, d + 1), n) if dense else ids,
+            rng.normal(size=n * d if dense else n), np.arange(n) % 3 + 1)
+    stream = DatasetStream(rows, rng.choice([-1.0, 1.0], n), 3, d)
+    graph = TaskGraph.edgeless(3) if algo == "perceptron_battery" else TaskGraph.complete(3)
+    metrics = harness.run_stream(stream, LearnerConfig(algo, graph, 10))
+    if algo == "perceptron_battery" or not dense:
+        assert calls == Counter(step=n)
+    else:
+        assert calls["window"] == 2 and calls["step"] == metrics.mistakes
