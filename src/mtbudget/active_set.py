@@ -36,9 +36,10 @@ InteractionModel's coupling of the query's task with the slots' tasks; no
 k x B table is kept.
 
 A run of upcoming dense queries can be opened as a window instead: one
-product gives the block of their kernels against every slot (capacity x
-window) and against one another, and one more the scores of all of
-them. Between `seek(r)` and `rescore()` a step runs on window
+product of their folded rows, a slice of the stream's prepared n x d'
+array (kernels.Prepared), gives the block of their kernels against every
+slot (capacity x window) and against one another, and one more the scores
+of all of them. Between `seek(r)` and `rescore()` a step runs on window
 row r: its predict reads the kept score and the block's column, which
 the projection and the insert then reuse, so no kernel is evaluated. An
 insert of row r writes the new slot's row of the block for the later
@@ -397,13 +398,14 @@ class ActiveSet:
 
     # -- a window of dense queries -------------------------------------
 
-    def open_window(self, queries):
+    def open_window(self, window):
         """Score the next dense queries of the stream, in order, from one
         kernel block against every slot, and keep the block and the
-        scores. Returns the scores, which the set keeps current: between
-        `seek(r)` and `rescore()` a step may run on query r, and only on it."""
-        _, xs, sqs, tasks = zip(*queries)
-        X, sq, tasks = np.array(xs), np.array(sqs), np.array(tasks) - 1
+        scores. `window` is the kernels.Prepared input of those rows, whose
+        folded rows `X` go into the block as they are. Returns the scores,
+        which the set keeps current: between `seek(r)` and `rescore()` a
+        step may run on query r, and only on it."""
+        queries, X, sq, tasks = window.queries, window.X, window.sq, window.tasks
         cap = self._cap
         store = self._store
         # every slot and the window's own queries, as one query block

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import EmptyStream, ParseError, TaskOutOfRange
 from .graph import TaskGraph
-from .kernels import MultitaskInstance, SparseVector
+from .kernels import MultitaskInstance, Prepared, SparseVector, make_queries
 
 # Bytes of lines `parse_dataset` reads per block: large enough that the
 # per-block numpy calls amortize, small enough that the block's token
@@ -32,11 +32,28 @@ _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b": ")
 
 
 def _frozen(values, dtype):
-    """A read-only view of `values` as `dtype`: streams share their arrays,
-    so a write through one must not change another."""
-    out = np.asarray(values, dtype=dtype).view()
+    """`values` as a read-only `dtype` array that nothing can write: an
+    array still writable through itself or through an array it views is
+    copied. Streams share their arrays, and a stream keeps the input its
+    runs prepared from them, so their data must never change."""
+    out = np.asarray(values, dtype=dtype)
+    if out is values or out.base is not None:      # the caller's data
+        owner = out
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        if isinstance(owner, np.ndarray):
+            out = out.copy()
     out.flags.writeable = False
     return out
+
+
+def _sealed(*arrays):
+    """Arrays that a builder here made, or took from a stream, made
+    read-only in place: nothing else can write them, so a stream takes them
+    without a copy."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass
@@ -46,11 +63,15 @@ class DatasetStream:
 
     Row r holds the 1-based, strictly increasing feature ids
     `ids[indptr[r]:indptr[r+1]]`, their `values` and the 1-based task
-    `tasks[r]`; `labels[r]` is its label. Every array is read-only. Every
+    `tasks[r]`; `labels[r]` is its label. Every array is read-only, and an
+    input array that could still be written elsewhere is copied. Every
     task must lie in 1..k (TaskOutOfRange otherwise) and every id in 1..d
     (ValueError).
     Build a stream from `rows = (indptr, ids, values, tasks)`; a list of
     MultitaskInstances is also accepted and converted once.
+
+    The stream keeps the input of its last run (`prepared`), out of its
+    repr and equality.
     """
 
     rows: InitVar[object]
@@ -61,6 +82,8 @@ class DatasetStream:
     ids: np.ndarray = field(init=False)
     values: np.ndarray = field(init=False)
     tasks: np.ndarray = field(init=False)
+    _prepared: Prepared | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self, rows):
         if isinstance(rows, list):
@@ -92,6 +115,15 @@ class DatasetStream:
     def __len__(self):
         return self.labels.size
 
+    def prepared(self, spec) -> Prepared:
+        """The stream's input for the kernel `spec`, built by the first run
+        with `spec` and kept until a run with another kernel replaces it, so
+        the stream holds at most one."""
+        if self._prepared is None or self._prepared.spec != spec:
+            self._prepared = None       # freed before its successor is built
+            self._prepared = make_queries(self, spec)
+        return self._prepared
+
     @property
     def binary(self) -> bool:
         return bool(np.all(np.isin(self.labels, (-1.0, 1.0))))
@@ -117,7 +149,7 @@ def _csr_of_instances(instances):
     ids = np.concatenate([inst.x.indices for inst in instances] + [np.zeros(0, np.int64)])
     values = np.concatenate([inst.x.values for inst in instances] + [np.zeros(0)])
     tasks = np.array([inst.task for inst in instances], dtype=np.int64)
-    return indptr, ids, values, tasks
+    return _sealed(indptr, ids, values, tasks)
 
 
 @dataclass
@@ -155,6 +187,7 @@ def parse_dataset(path, k=None) -> DatasetStream:
         _raise_first_error(path, k)
     if k is None:
         k = max(int(tasks.max(initial=0)), 1)
+    _sealed(indptr, ids, values, tasks, labels)
     return DatasetStream((indptr, ids, values, tasks), labels, k,
                          int(ids.max(initial=0)))
 
@@ -269,6 +302,7 @@ def binarize_by_percentile(stream: DatasetStream, pct=75.0) -> DatasetStream:
         raise EmptyStream("cannot binarize an empty stream")
     threshold = float(np.percentile(stream.labels, pct))
     labels = np.where(stream.labels > threshold, 1.0, -1.0)
+    _sealed(labels)
     return DatasetStream((stream.indptr, stream.ids, stream.values, stream.tasks),
                          labels, stream.k, stream.d)
 
@@ -295,8 +329,8 @@ def rescale_features(stream: DatasetStream) -> DatasetStream:
     keep = new != 0.0
     # sorted ids stay sorted when zeros drop out, so rows are cut, not rebuilt
     kept_before = np.concatenate(([0], np.cumsum(keep)))
-    return DatasetStream((kept_before[stream.indptr], ids[keep], new[keep],
-                          stream.tasks), stream.labels, stream.k, stream.d)
+    rows = _sealed(kept_before[stream.indptr], ids[keep], new[keep], stream.tasks)
+    return DatasetStream(rows, stream.labels, stream.k, stream.d)
 
 
 def _unit(v):
@@ -372,8 +406,9 @@ def generate_synthetic(k, d, n, relatedness, noise, shift_schedule=None,
         X[t - 1] = x
         labels[t - 1] = y
     rows, cols = np.nonzero(X)
-    return DatasetStream((_indptr(np.count_nonzero(X, axis=1)), cols + 1,
-                          X[rows, cols], tasks), labels, k, d), refs
+    csr = _sealed(_indptr(np.count_nonzero(X, axis=1)), cols + 1, X[rows, cols], tasks)
+    _sealed(labels)
+    return DatasetStream(csr, labels, k, d), refs
 
 
 def shift_term(refs: ReferenceTaskSet, graph: TaskGraph):

@@ -8,6 +8,7 @@ bounds the norm of every multitask feature vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,8 @@ class TaskGraph:
     `edges` is one read-only int64 array of shape (E, 2). Each row is a pair
     i < j of task ids, and the rows strictly increase in lexicographic
     order, so no pair appears twice. Rows given out of order are sorted.
+    A graph never changes, so its interaction model (`model`) is built once
+    and shared.
     """
 
     k: int
@@ -45,6 +48,12 @@ class TaskGraph:
                 raise ValueError("duplicate edge (%d, %d)" % (i, j))
         e.flags.writeable = False
         object.__setattr__(self, "edges", e)
+
+    @cached_property
+    def model(self) -> "InteractionModel":
+        """The graph's InteractionModel, built on first use and shared,
+        read-only, by every learner on the graph."""
+        return build_interaction_model(self)
 
     @staticmethod
     def from_edges(k, edges):

@@ -13,7 +13,7 @@ import numpy as np
 from .data import DatasetStream
 from .errors import EmptyStream, TaskOutOfRange
 from .graph import TaskGraph
-from .kernels import KernelSpec, make_queries
+from .kernels import KernelSpec
 from .learners import LearnerConfig, make_learner
 
 _prediction = itemgetter(0)     # of a learner's StepOutcome
@@ -55,12 +55,14 @@ class StreamMetrics:
 def run_stream(stream: DatasetStream, config: LearnerConfig,
                epochs=1) -> StreamMetrics:
     """Drive one learner over a binarized stream; predictions are scored
-    with the pre-update state of each step. Each example's query is built
-    once, in the form (sparse or dense) the stream's density favours, so a
-    sparse stream is never densified. A kernel learner on dense queries
-    takes them a window of up to WINDOW at a time and is stepped only at
-    its mistakes (`step_window`); sparse queries and the Perceptron
-    battery go one `step` per example.
+    with the pre-update state of each step. The run reads the stream's
+    prepared input for the config's kernel (`DatasetStream.prepared`),
+    which holds each example's query in the form (sparse or dense) the
+    stream's density favours, so a sparse stream is never densified; a
+    later run with the same kernel builds nothing. A kernel learner on
+    dense queries takes them a window of up to WINDOW rows of the prepared
+    arrays at a time and is stepped only at its mistakes (`step_window`);
+    sparse queries and the Perceptron battery go one `step` per example.
 
     The loop keeps whether each step predicted +1, and |S| at each
     trajectory mark (every 1% of the steps, and the last); the confusion
@@ -76,13 +78,13 @@ def run_stream(stream: DatasetStream, config: LearnerConfig,
         raise TaskOutOfRange("the stream has %d tasks but the graph has only %d"
                              % (stream.k, k))
     learner = make_learner(config, dim=stream.d)
-    queries = make_queries(stream, config.kernel)
-    total = len(queries) * epochs
+    prepared = stream.prepared(config.kernel)
+    total = len(stream) * epochs
     every = max(1, total // 100)
     marks = list(range(every, total, every)) + [total]
-    windowed = queries[0].idx is None and hasattr(learner, "step_window")
+    windowed = prepared.X is not None and hasattr(learner, "step_window")
     run = _run_windows if windowed else _run_each
-    positive, sizes = run(learner, queries, stream.labels.astype(np.int64).tolist(), marks)
+    positive, sizes = run(learner, prepared, marks)
     # cell 0..3 = tp, fp, fn, tn, from the prediction's and the label's sign
     cell = 2 * ~positive + np.tile(stream.labels != 1, epochs)
     per_task = np.bincount(4 * np.tile(stream.tasks - 1, epochs) + cell,
@@ -97,13 +99,13 @@ def run_stream(stream: DatasetStream, config: LearnerConfig,
                          trajectory=trajectory, final_active=learner.active_size)
 
 
-def _run_each(learner, queries, labels, marks):
+def _run_each(learner, prepared, marks):
     """Step the learner once per example, over as many passes of the
-    queries as the last mark needs. Returns whether each step predicted +1,
-    and |S| at each mark."""
+    prepared queries as the last mark needs. Returns whether each step
+    predicted +1, and |S| at each mark."""
     step = learner.step
-    qs = chain.from_iterable(repeat(queries))
-    ys = chain.from_iterable(repeat(labels))
+    qs = chain.from_iterable(repeat(prepared.queries))
+    ys = chain.from_iterable(repeat(prepared.labels))
     predictions = array("b")
     sizes = []
     done = 0
@@ -115,11 +117,11 @@ def _run_each(learner, queries, labels, marks):
     return np.frombuffer(predictions, dtype=np.int8) == 1, sizes
 
 
-def _run_windows(learner, queries, labels, marks):
+def _run_windows(learner, prepared, marks):
     """`_run_each` for a kernel learner on dense queries: it steps through
-    windows of at most WINDOW examples, cut at each pass's end (see
-    `step_window`)."""
-    n, total = len(queries), marks[-1]
+    windows of at most WINDOW examples, cut at each pass's end, each the
+    prepared input's rows as views (see `step_window`)."""
+    n, total = len(prepared.queries), marks[-1]
     positive = []
     sizes = []
     done = seen = 0
@@ -127,7 +129,7 @@ def _run_windows(learner, queries, labels, marks):
         i = done % n
         m = min(WINDOW, total - done, n - i)
         inside = bisect_right(marks, done + m, lo=seen)
-        scores, at = learner.step_window(queries[i:i + m], labels[i:i + m],
+        scores, at = learner.step_window(prepared.rows(i, i + m),
                                          [mark - done for mark in marks[seen:inside]])
         positive.append(scores >= 0)
         sizes += at
@@ -136,7 +138,9 @@ def _run_windows(learner, queries, labels, marks):
 
 
 def baseline_active_size(stream: DatasetStream, kernel: KernelSpec) -> int:
-    """Final active-set size (= mistake count) of the k-Perceptron battery."""
+    """Final active-set size (= mistake count) of the k-Perceptron battery.
+    Its run prepares the stream for `kernel`, so a learner's run with the
+    same kernel reuses that input."""
     config = LearnerConfig("perceptron_battery", TaskGraph.edgeless(stream.k),
                            kernel=kernel)
     return run_stream(stream, config).final_active

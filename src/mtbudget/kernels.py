@@ -2,7 +2,9 @@
 
 All learners require the normalized form of the base kernel, so that
 every single-task instance has unit self-similarity; `make_queries` folds
-it into each query once, so a kernel column is one matrix-vector product."""
+it into each query once, so a kernel column is one matrix-vector product.
+Its result, a stream's `Prepared` input for one kernel, is the only input
+of a run, and the stream keeps it (`DatasetStream.prepared`)."""
 
 from __future__ import annotations
 
@@ -138,6 +140,28 @@ class Query(NamedTuple):
     task: int
 
 
+class Prepared(NamedTuple):
+    """A stream's rows prepared for one kernel by `make_queries`: the only
+    input of a run.
+
+    `queries` holds one Query per row and `labels` the labels as ints. A
+    dense stream's queries are the rows of `X`, its n x d' array of folded
+    rows; a sparse stream has X None. `sq` holds the queries' squared norms
+    and `tasks` their zero-based tasks. For a dense stream, `rows(i, j)` is
+    the input of rows i..j-1 with every array a view: a window."""
+
+    spec: KernelSpec
+    queries: list
+    X: Optional[np.ndarray]
+    sq: np.ndarray
+    tasks: np.ndarray
+    labels: list
+
+    def rows(self, i, j):
+        return Prepared(self.spec, self.queries[i:j], self.X[i:j], self.sq[i:j],
+                        self.tasks[i:j], self.labels[i:j])
+
+
 def require_normalized(spec: KernelSpec):
     """The learners' kernels: normalized, or gaussian (already so)."""
     if not spec.normalize and spec.kind != "gaussian":
@@ -149,10 +173,11 @@ def folded_dim(dim, spec: KernelSpec):
     return dim + int(spec.kind == "polynomial" and spec.offset > 0)
 
 
-def make_queries(stream, spec: KernelSpec):
-    """Queries of every row of a DatasetStream, all in one form, each folded
-    into a kernel `require_normalized` accepts so that the kernel is a power
-    of the plain dot product: `linear:norm` stores x / |x|, `poly:p:c:norm`
+def make_queries(stream, spec: KernelSpec) -> Prepared:
+    """The Prepared input of a DatasetStream for `spec`: the queries of
+    every row, all in one form, each folded into a kernel
+    `require_normalized` accepts so that the kernel is a power of the plain
+    dot product: `linear:norm` stores x / |x|, `poly:p:c:norm`
     (x, sqrt(c)) / sqrt(|x|^2 + c), whose extra coordinate is feature id d
     and exists only when c > 0, and a gaussian keeps x.
 
@@ -162,7 +187,8 @@ def make_queries(stream, spec: KernelSpec):
     views into one copy of the folded CSR arrays, dense ones rows of one n x d
     array, all read-only. A zero-norm instance raises ZeroNormInstance, and a
     raw self kernel whose square is not finite NumericalFailure, naming its
-    position and task.
+    position and task. Runs read the input through `DatasetStream.prepared`,
+    which calls this once per stream and kernel.
     """
     require_normalized(spec)
     n, dim, indptr = len(stream), stream.d, stream.indptr
@@ -208,8 +234,13 @@ def make_queries(stream, spec: KernelSpec):
         X.flags.writeable = False
         xs, idxs = X, repeat(None)
     # tuple.__new__ builds each Query in C; Query's own __new__ is Python code
-    return list(map(tuple.__new__, repeat(Query),
-                    zip(idxs, xs, sq.tolist(), stream.tasks.tolist())))
+    queries = list(map(tuple.__new__, repeat(Query),
+                       zip(idxs, xs, sq.tolist(), stream.tasks.tolist())))
+    sq.flags.writeable = False
+    tasks = stream.tasks - 1
+    tasks.flags.writeable = False
+    return Prepared(spec, queries, None if sparse else X, sq, tasks,
+                    stream.labels.astype(np.int64).tolist())
 
 
 def dense_kernel_vector(X: np.ndarray, sq_norms: np.ndarray, q: np.ndarray,

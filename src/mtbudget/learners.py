@@ -23,7 +23,7 @@ import numpy as np
 
 from .active_set import ActiveSet, SlotStore
 from .errors import DomainError, NoFeasibleShrink
-from .graph import TaskGraph, build_interaction_model
+from .graph import TaskGraph
 from .kernels import KernelSpec, Query, dense_kernel_vector, folded_dim, require_normalized
 
 ALGORITHMS = ("mtbprj", "mtbprj2", "mtrbp", "mtforg", "perceptron_battery")
@@ -73,7 +73,7 @@ class _KernelLearner:
 
     def __init__(self, config: LearnerConfig, dim: int):
         self.config = config
-        self.model = build_interaction_model(config.graph)
+        self.model = config.graph.model
         self.active_set = ActiveSet(config.budget, dim, config.kernel,
                                     self.model, kernel_mode=self.kernel_mode,
                                     keeps=self.keeps)
@@ -93,14 +93,16 @@ class _KernelLearner:
         return tuple.__new__(StepOutcome,
                              (1 if score >= 0 else -1, score, mistake, action))
 
-    def step_window(self, queries, labels, marks=()):
-        """Step through consecutive dense queries with their labels. Returns
-        the score each step predicts from, and |S| after each of `marks`
-        (increasing counts of steps into the window). The active set scores
-        the window as one kernel block and keeps it current, so only a
-        mistake calls `step`, which reads its score and column there."""
+    def step_window(self, window, marks=()):
+        """Step through a window of consecutive dense rows, given as their
+        kernels.Prepared input. Returns the score each step predicts from,
+        and |S| after each of `marks` (increasing counts of steps into the
+        window). The active set scores the window as one kernel block and
+        keeps it current, so only a mistake calls `step`, with the row's
+        Query, which reads its score and column there."""
         s = self.active_set
-        scores = s.open_window(queries)
+        queries, labels = window.queries, window.labels
+        scores = s.open_window(window)
         sizes = []
         row = 0
         for stop in (*marks, None):

@@ -34,7 +34,7 @@ def queries_of(instances, dim, spec):
     of them, as `run_stream` builds a stream's."""
     k = max((inst.task for inst in instances), default=1)
     return make_queries(DatasetStream(list(instances), np.ones(len(instances)), k, dim),
-                        spec)
+                        spec).queries
 
 
 def labelled(instances, labels, dim, spec):

@@ -13,7 +13,9 @@ from mtbudget.data import (DatasetStream, binarize_by_percentile,
                            shift_term, write_dataset)
 from mtbudget.errors import EmptyStream, ParseError, TaskOutOfRange
 from mtbudget.graph import TaskGraph
+from mtbudget.harness import run_stream
 from mtbudget.kernels import KernelSpec, MultitaskInstance, SparseVector, make_queries
+from mtbudget.learners import LearnerConfig
 from support import interaction_of, parse_by_line
 
 
@@ -201,13 +203,60 @@ class TestStreamArrays:
         for d in (3, 300):       # dense, then sparse queries
             wide = DatasetStream((stream.indptr, stream.ids, stream.values,
                                   stream.tasks), stream.labels, stream.k, d)
-            for q in make_queries(wide, KernelSpec("linear", normalize=True)):
+            for q in make_queries(wide, KernelSpec("linear", normalize=True)).queries:
                 assert (q.idx is None) == (d == 3)
                 with pytest.raises(ValueError):
                     q.x[0] = 0.0
                 if q.idx is not None:
                     with pytest.raises(ValueError):
                         q.idx[0] = 0
+
+
+class TestPreparedInputCannotGoStale:
+    """A stream keeps the input its runs prepared, so no array it was built
+    from may change afterwards: one the caller can still write is copied."""
+
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_writes_into_the_callers_arrays_change_no_run(self, read_only_view):
+        rng = np.random.default_rng(3)
+        n, d = 150, 6
+        arrays = [np.arange(n + 1) * d, np.tile(np.arange(1, d + 1), n),
+                  rng.normal(size=n * d), np.arange(n) % 3 + 1,
+                  rng.choice([-1.0, 1.0], n)]
+        given = [a.view() for a in arrays]
+        for a in given:
+            a.flags.writeable = not read_only_view
+        *rows, labels = given
+        stream = DatasetStream(tuple(rows), labels, 3, d)
+        config = LearnerConfig("mtbprj", TaskGraph.complete(3), budget=10,
+                               kernel=KernelSpec("linear", normalize=True))
+        first = run_stream(stream, config)
+        arrays[1][:] = 1        # every feature id 1: within the ids' range
+        arrays[2][:] = rng.normal(size=n * d)
+        arrays[3][:] = 1
+        arrays[4][:] = -arrays[4]
+        second = run_stream(stream, config)
+        assert second.trajectory == first.trajectory
+        assert np.array_equal(second.per_task, first.per_task)
+        assert (second.mistakes, second.final_active) == (first.mistakes,
+                                                          first.final_active)
+
+    def test_derived_streams_share_the_arrays_they_take(self, tmp_path):
+        """The package's builders hand a stream read-only arrays, which it
+        takes as they are."""
+        path = tmp_path / "s.mtsvm"
+        path.write_text("1 0.5 1:2 3:1\n2 -1 2:4\n1 3 1:1 2:1 3:1\n")
+        stream = parse_dataset(path)
+        rescaled = rescale_features(stream)
+        derived = binarize_by_percentile(rescaled)
+        assert rescaled.tasks is stream.tasks and rescaled.labels is stream.labels
+        for name in ("indptr", "ids", "values", "tasks"):
+            assert getattr(derived, name) is getattr(rescaled, name)
+        synthetic, _ = generate_synthetic(2, 3, 10, 0.5, 0.0)
+        again = DatasetStream((synthetic.indptr, synthetic.ids, synthetic.values,
+                               synthetic.tasks), synthetic.labels, 2, 3)
+        assert all(getattr(again, name) is getattr(synthetic, name)
+                   for name in ("indptr", "ids", "values", "tasks", "labels"))
 
 
 def stream_of(vectors, labels, k=1, d=None):

@@ -1,7 +1,11 @@
+import gc
+import json
+import weakref
+
 import numpy as np
 import pytest
 
-from mtbudget import kernels
+from mtbudget import cli, data, kernels
 from mtbudget.data import (DatasetStream, binarize_by_percentile, generate_synthetic,
                            parse_dataset, rescale_features)
 from mtbudget.errors import EmptyStream, TaskOutOfRange
@@ -101,7 +105,7 @@ def test_tallies_match_a_naive_recount(algo, epochs, n):
     graph = TaskGraph.edgeless(3) if algo == "perceptron_battery" else TaskGraph.complete(3)
     cfg = LearnerConfig(algo, graph, budget=12, eta=0.1, kernel=SPEC)
     learner = make_learner(cfg, stream.d)
-    examples = list(zip(kernels.make_queries(stream, SPEC), stream.labels))
+    examples = list(zip(kernels.make_queries(stream, SPEC).queries, stream.labels))
     total = n * epochs
     every = max(1, total // 100)
     per_task = [[0, 0, 0, 0] for _ in range(3)]
@@ -215,6 +219,59 @@ class TestBaseline:
         assert base == m.mistakes == m.final_active
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The kernel of every build of a stream's prepared input."""
+    specs = []
+    real = data.make_queries
+
+    def counted(stream, spec):
+        specs.append(spec)
+        return real(stream, spec)
+
+    monkeypatch.setattr(data, "make_queries", counted)
+    return specs
+
+
+class TestPreparedOnce:
+    """A stream keeps one prepared input, and runs with its kernel reuse it."""
+
+    def test_percent_budget_run_builds_once(self, builds, capsys):
+        code = cli.main(["run", "--algo", "mtbprj", "--graph", "complete",
+                         "--budget", "10%", "--synth", "k=3,d=20,n=300"])
+        assert code == 0 and json.loads(capsys.readouterr().out)["budget_resolved"] > 0
+        assert builds == [SPEC]
+
+    def test_second_run_with_the_kernel_builds_nothing(self, builds):
+        stream = small_stream()
+        config = LearnerConfig("mtrbp", TaskGraph.complete(3), budget=12, kernel=SPEC)
+        first = run_stream(stream, config)
+        second = run_stream(stream, config)
+        assert builds == [SPEC]
+        assert first.trajectory == second.trajectory
+
+    def test_another_kernel_rebuilds_and_replaces_it(self, builds):
+        stream = small_stream(d=20)
+        specs = [KernelSpec.parse(text) for text in
+                 ("linear:norm", "poly:2:1:norm", "gauss:0.5", "linear:norm")]
+        graph = TaskGraph.complete(3)
+        old = None
+        for spec in specs:
+            config = LearnerConfig("mtbprj2", graph, budget=12, kernel=spec)
+            got = run_stream(stream, config)
+            want = run_stream(small_stream(d=20), config)
+            assert (got.trajectory, got.mistakes) == (want.trajectory, want.mistakes)
+            assert np.array_equal(got.per_task, want.per_task)
+            # the stream holds the newer input only: the older one's rows are freed
+            kept = [v for v in vars(stream).values() if isinstance(v, kernels.Prepared)]
+            assert [p.spec for p in kept] == [spec]
+            gc.collect()
+            assert old is None or old() is None
+            old = weakref.ref(kept[0].X)
+            del kept
+        assert builds == [spec for spec in specs for _ in range(2)]
+
+
 class TestResolveBudget:
     def test_absolute_integer_passthrough(self):
         stream = small_stream(n=50)
@@ -266,5 +323,5 @@ def test_no_row_objects_on_the_run_path(tmp_path, monkeypatch, d, nnz):
         run_stream(stream, LearnerConfig(algo, TaskGraph.complete(3), budget,
                                          kernel=SPEC))
     assert built == []
-    assert (kernels.make_queries(stream, SPEC)[0].idx is None) == (d == nnz)
+    assert (kernels.make_queries(stream, SPEC).queries[0].idx is None) == (d == nnz)
     assert len(stream.instances) == 240 and len(built) == 480   # the counter counts

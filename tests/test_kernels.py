@@ -183,7 +183,8 @@ class TestQueryConstruction:
         rows = [MultitaskInstance(SparseVector(np.sort(rng.choice(d, 3, replace=False)) + 1,
                                                rng.normal(size=3)), t)
                 for t in (1, 2, 2, 3)]
-        queries = make_queries(DatasetStream(rows, np.ones(4), 3, d), KernelSpec.parse(text))
+        queries = make_queries(DatasetStream(rows, np.ones(4), 3, d),
+                               KernelSpec.parse(text)).queries
         assert len(queries) == 4
         for q, inst in zip(queries, rows):
             assert type(q) is Query and len(q) == len(Query._fields) == 4
@@ -215,7 +216,7 @@ class TestSelfKernelRange:
         stream = DatasetStream([MultitaskInstance(sv((1, 1.0), (2, 1.0)), 1)],
                                np.ones(1), 1, 2)
         spec = KernelSpec.parse("poly:300:1:norm")
-        (q,) = make_queries(stream, spec)
+        (q,) = make_queries(stream, spec).queries
         # (3 ** 300) ** 2 is finite: the query folds to (1, 1, 1) / sqrt(3)
         assert np.allclose(q.x, np.full(3, 3.0 ** -0.5), rtol=0, atol=1e-15)
         self_kernel = dense_kernel_vector(q.x[:, None], np.ones(1), q.x, q.sq, spec)

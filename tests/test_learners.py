@@ -346,6 +346,25 @@ def test_one_kernel_column_per_battery_predict(monkeypatch):
     assert len(appends) == learner.mistakes > 3 and not any(appends)
 
 
+def test_learners_on_one_graph_share_one_model(monkeypatch):
+    """Four learners built on one graph solve I + L once and share the
+    graph's read-only model."""
+    solves = []
+    real = np.linalg.solve
+
+    def counted(*args):
+        solves.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    graph = TaskGraph.complete(4)
+    made = [make_learner(cfg(algo, graph, budget=90), 5)
+            for algo in ("mtbprj", "mtbprj2", "mtrbp", "mtforg")]
+    assert len(solves) == 1
+    assert all(learner.model is graph.model for learner in made)
+    assert "model" not in repr(graph)
+
+
 class TestMtrbp:
     def test_random_eviction_replays_rng(self):
         rng = np.random.default_rng(6)

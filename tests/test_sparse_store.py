@@ -215,7 +215,7 @@ def test_harness_matches_stepping_without_queries(algo, monkeypatch):
     stream = sparse_stream()
     config = LearnerConfig(algo, TaskGraph.complete(K), budget=12, eta=0.05,
                            kernel=SPECS["linear"], seed=3)
-    assert make_queries(stream, config.kernel)[0].idx is not None
+    assert make_queries(stream, config.kernel).queries[0].idx is not None
 
     seen = []
     real_make_learner = harness.make_learner
@@ -312,7 +312,7 @@ class TestCompactRows:
                                 np.arange(n) % K + 1), np.ones(n), K, self.DIM)
         s = ActiveSet(16, self.DIM, SPECS["linear"], MODEL, keeps=None)
         rebuilds, X = 0, None
-        for step, q in enumerate(make_queries(stream, SPECS["linear"]), start=1):
+        for step, q in enumerate(make_queries(stream, SPECS["linear"]).queries, start=1):
             full = len(s) >= s.budget
             s.insert(q, 1.0, force=full)
             if full:

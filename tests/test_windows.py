@@ -7,14 +7,17 @@ decisions only). A score sums weight times kernel terms with |kernel| <= 1,
 and the block product rounds kernel values differently from a per-example
 column, so the difference scales with the weights: mtbprj2 on a span that
 saturates (20 features, B = 40, three passes) grows a weight to 38 and
-differs by 2.1e-12, while no other case here passes 4e-13."""
+differs by 2.1e-12, while no other case here passes 4e-13.
+
+A window is a slice of the stream's prepared input (`DatasetStream.prepared`),
+which a second run with the same kernel reads again."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from mtbudget import harness
+from mtbudget import active_set, harness
 from mtbudget.data import DatasetStream, generate_synthetic
 from mtbudget.graph import TaskGraph
 from mtbudget.kernels import KernelSpec, make_queries
@@ -31,6 +34,11 @@ CASES = [(40, 3, 12), (150, 1, 12), (150, 3, 40)]
 def windowed_run(stream, config, epochs, monkeypatch):
     """`run_stream`'s metrics, the score of every step its windows took,
     the learner, and per window what happened inside it."""
+    with monkeypatch.context() as patch:
+        return _windowed_run(stream, config, epochs, patch)
+
+
+def _windowed_run(stream, config, epochs, monkeypatch):
     runs = []
     real = harness.make_learner
 
@@ -50,9 +58,9 @@ def windowed_run(stream, config, epochs, monkeypatch):
             events[-1]["evict"] += 1
             return evict(r)
 
-        def recorded_window(queries, labels, marks):
+        def recorded_window(window, marks):
             events.append(Counter(cap=s._cap))
-            window_scores, sizes = step_window(queries, labels, marks)
+            window_scores, sizes = step_window(window, marks)
             scores.append(window_scores.copy())
             events[-1]["grew"] = s._cap > events[-1]["cap"]
             return window_scores, sizes
@@ -72,7 +80,7 @@ def stepped_run(stream, config, epochs):
     """The outputs of `run_stream`, recounted from one `step` per example
     of a fresh learner: per-task counts, trajectory, scores and the learner."""
     learner = make_learner(config, stream.d)
-    queries = make_queries(stream, config.kernel)
+    queries = make_queries(stream, config.kernel).queries
     labels = stream.labels.astype(np.int64).tolist()
     total = len(queries) * epochs
     every = max(1, total // 100)
@@ -100,23 +108,27 @@ def test_windows_match_stepping_each_example(monkeypatch, algo, kernel, graph, n
     stream, _ = generate_synthetic(3, 20, n, 0.6, 0.2, seed=n + budget)
     config = LearnerConfig(algo, GRAPHS[graph], budget, eta=0.05,
                            kernel=KernelSpec.parse(kernel), seed=3)
-    metrics, scores, learner, events = windowed_run(stream, config, epochs, monkeypatch)
     per_task, trajectory, want, reference = stepped_run(stream, config, epochs)
-
-    assert np.array_equal(scores >= 0, want >= 0)      # every prediction
-    assert np.array_equal(np.asarray(metrics.per_task), per_task)
-    assert metrics.trajectory == trajectory
-    assert metrics.mistakes == learner.mistakes == reference.mistakes
-    assert metrics.final_active == learner.active_size == reference.active_size
-    if algo != "mtforg":
-        scale = max(1.0, float(np.max(np.abs(reference.active_set.weights))))
-        assert np.max(np.abs(scores - want)) <= 1e-12 * scale
-    # the windows did what the case is for: a window never spans two passes
-    assert len(events) == -(-n // 64) * epochs
-    if budget == 12:
-        assert any(e["evict"] and e["reuse"] for e in events)
-    else:
-        assert events[0]["grew"]
+    kept = []
+    for _ in range(2):      # the second run reads the input the first prepared
+        metrics, scores, learner, events = windowed_run(stream, config, epochs,
+                                                        monkeypatch)
+        kept.append(stream.prepared(config.kernel))
+        assert np.array_equal(scores >= 0, want >= 0)      # every prediction
+        assert np.array_equal(np.asarray(metrics.per_task), per_task)
+        assert metrics.trajectory == trajectory
+        assert metrics.mistakes == learner.mistakes == reference.mistakes
+        assert metrics.final_active == learner.active_size == reference.active_size
+        if algo != "mtforg":
+            scale = max(1.0, float(np.max(np.abs(reference.active_set.weights))))
+            assert np.max(np.abs(scores - want)) <= 1e-12 * scale
+        # the windows did what the case is for: a window never spans two passes
+        assert len(events) == -(-n // 64) * epochs
+        if budget == 12:
+            assert any(e["evict"] and e["reuse"] for e in events)
+        else:
+            assert events[0]["grew"]
+    assert kept[0] is kept[1]
 
 
 @pytest.mark.parametrize("algo, dense", [("mtrbp", True), ("mtrbp", False),
@@ -134,9 +146,9 @@ def test_only_kernel_learners_on_dense_queries_take_windows(monkeypatch, algo, d
             calls["step"] += 1
             return step(query, y)
 
-        def counted_window(queries, labels, marks):
+        def counted_window(window, marks):
             calls["window"] += 1
-            return step_window(queries, labels, marks)
+            return step_window(window, marks)
 
         learner.step = counted_step
         if step_window is not None:
@@ -157,3 +169,27 @@ def test_only_kernel_learners_on_dense_queries_take_windows(monkeypatch, algo, d
         assert calls == Counter(step=n)
     else:
         assert calls["window"] == 2 and calls["step"] == metrics.mistakes
+
+
+@pytest.mark.filterwarnings("ignore:mtforg mistake bound")
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("algo", ["mtbprj", "mtbprj2", "mtrbp", "mtforg"])
+def test_window_blocks_are_views_of_the_prepared_rows(monkeypatch, algo, kernel):
+    """A window's queries reach the kernel block as a slice of the prepared
+    n x d' array, not as a copy of its rows, and in one call per window."""
+    stream, _ = generate_synthetic(3, 20, 150, 0.6, 0.2, seed=7)
+    config = LearnerConfig(algo, GRAPHS["complete"], 12, eta=0.05,
+                           kernel=KernelSpec.parse(kernel), seed=3)
+    blocks = []
+    real = active_set.dense_kernel_vector
+
+    def recorded(X, sq_norms, q, q_sq, spec):
+        if q.ndim == 2:
+            blocks.append(X)
+        return real(X, sq_norms, q, q_sq, spec)
+
+    monkeypatch.setattr(active_set, "dense_kernel_vector", recorded)
+    harness.run_stream(stream, config)
+    rows = stream.prepared(config.kernel).X
+    assert len(blocks) == 3     # windows of 64, 64 and 22 rows
+    assert all(np.shares_memory(block, rows) for block in blocks)
