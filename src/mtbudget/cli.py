@@ -159,10 +159,12 @@ def cmd_bounds(args):
 
 def cmd_synth(args):
     schedule = []
-    if args.shift:
-        for part in args.shift.split(","):
-            step_s, _, angle_s = part.partition(":")
+    for part in args.shift.split(",") if args.shift else ():
+        step_s, _, angle_s = part.partition(":")
+        try:
             schedule.append((int(step_s), float(angle_s)))
+        except ValueError:
+            raise ValueError("--shift entry %r is not step:angle, e.g. 5:0.5" % part) from None
     stream, refs = generate_synthetic(args.k, args.d, args.n,
                                       args.relatedness, args.noise,
                                       shift_schedule=schedule, seed=args.seed)

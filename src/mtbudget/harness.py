@@ -18,7 +18,7 @@ from .learners import LearnerConfig, make_learner
 
 _prediction = itemgetter(0)     # of a learner's StepOutcome
 
-# Steps a kernel learner on dense queries scores as one block.
+# Steps a learner on dense queries scores as one block.
 WINDOW = 64
 
 
@@ -59,10 +59,10 @@ def run_stream(stream: DatasetStream, config: LearnerConfig,
     prepared input for the config's kernel (`DatasetStream.prepared`),
     which holds each example's query in the form (sparse or dense) the
     stream's density favours, so a sparse stream is never densified; a
-    later run with the same kernel builds nothing. A kernel learner on
-    dense queries takes them a window of up to WINDOW rows of the prepared
-    arrays at a time and is stepped only at its mistakes (`step_window`);
-    sparse queries and the Perceptron battery go one `step` per example.
+    later run with the same kernel builds nothing. Every learner on dense
+    queries, the Perceptron battery included, takes them a window of up to
+    WINDOW rows of the prepared arrays at a time and is stepped only at its
+    mistakes (`step_window`); sparse queries go one `step` per example.
 
     The loop keeps whether each step predicted +1, and |S| at each
     trajectory mark (every 1% of the steps, and the last); the confusion
@@ -82,8 +82,7 @@ def run_stream(stream: DatasetStream, config: LearnerConfig,
     total = len(stream) * epochs
     every = max(1, total // 100)
     marks = list(range(every, total, every)) + [total]
-    windowed = prepared.X is not None and hasattr(learner, "step_window")
-    run = _run_windows if windowed else _run_each
+    run = _run_windows if prepared.X is not None else _run_each
     positive, sizes = run(learner, prepared, marks)
     # cell 0..3 = tp, fp, fn, tn, from the prediction's and the label's sign
     cell = 2 * ~positive + np.tile(stream.labels != 1, epochs)
@@ -118,7 +117,7 @@ def _run_each(learner, prepared, marks):
 
 
 def _run_windows(learner, prepared, marks):
-    """`_run_each` for a kernel learner on dense queries: it steps through
+    """`_run_each` for dense queries: the learner steps through
     windows of at most WINDOW examples, cut at each pass's end, each the
     prepared input's rows as views (see `step_window`)."""
     n, total = len(prepared.queries), marks[-1]

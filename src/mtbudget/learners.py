@@ -7,9 +7,9 @@ query is the example's kernels.Query (built once per example by
 expansion, then update only when the signed score is a mistake
 (y * score <= 0). The emitted prediction at score exactly 0 is +1 but
 the update still fires. Every learner also exposes `mistakes` and
-`active_size`. The four kernel learners also take a window of dense
-queries at once through `step_window`, which calls `step` only at the
-window's mistakes.
+`active_size`, and takes a window of dense queries at once through
+`step_window`, which calls `step` only at the window's mistakes, all
+found by one scan (`_scan_window`).
 """
 
 from __future__ import annotations
@@ -65,6 +65,29 @@ class StepOutcome(NamedTuple):
     action: str
 
 
+def _scan_window(learner, scores, labels, marks, mistake):
+    """Call `mistake(row)` at each row of a window, in order, whose label
+    its kept score disagrees with (y * score <= 0); `mistake` steps there and
+    keeps the later scores current. Returns |S| after each of `marks`."""
+    sizes = []
+    row = 0
+    for stop in (*marks, None):
+        while True:
+            # the first mistake in rows row..stop-1; at a mistake rate
+            # near 30% a plain loop is cheaper than array operations
+            for row, score in enumerate(scores[row:stop].tolist(), row):
+                if labels[row] * score <= 0:
+                    break
+            else:
+                break
+            mistake(row)
+            row += 1
+        if stop is None:
+            return sizes
+        row = stop
+        sizes.append(learner.active_size)
+
+
 class _KernelLearner:
     """Common state: interaction model, active set, mistake counter."""
 
@@ -103,25 +126,11 @@ class _KernelLearner:
         s = self.active_set
         queries, labels = window.queries, window.labels
         scores = s.open_window(window)
-        sizes = []
-        row = 0
-        for stop in (*marks, None):
-            while True:
-                # the first mistake in rows row..stop-1; at a mistake rate
-                # near 30% a plain loop is cheaper than array operations
-                for row, score in enumerate(scores[row:stop].tolist(), row):
-                    if labels[row] * score <= 0:
-                        break
-                else:
-                    break
-                s.seek(row)
-                self.step(queries[row], labels[row])
-                s.rescore()
-                row += 1
-            if stop is None:
-                return scores, sizes
-            row = stop
-            sizes.append(self.active_size)
+        def mistake(row):
+            s.seek(row)
+            self.step(queries[row], labels[row])
+            s.rescore()
+        return scores, _scan_window(self, scores, labels, marks, mistake)
 
     def _update(self, query, y):
         raise NotImplementedError
@@ -243,8 +252,8 @@ class MTForgetron(_KernelLearner):
 class PerceptronBattery:
     """k independent kernel Perceptrons, no budget; the baseline yardstick.
 
-    Each task's support vectors fill the slots of its own SlotStore, the
-    store ActiveSet uses, in order and never evicted.
+    Each task's support vectors fill its own SlotStore in order and are
+    never evicted; a dense window costs one product per task (`step_window`).
     """
 
     def __init__(self, config: LearnerConfig, dim: int):
@@ -254,13 +263,16 @@ class PerceptronBattery:
         self._stores = [SlotStore(folded_dim(dim, self.spec), 16) for _ in range(self.k)]
         self._w = [np.zeros(16) for _ in range(self.k)]
         self._count = [0] * self.k
+        self._kept = (None, 0.0)        # (query, score) of a window's mistake
         self.mistakes = 0
 
     def step(self, query: Query, y: int) -> StepOutcome:
         t = query.task - 1
         n = self._count[t]
         score = 0.0
-        if n:
+        if self._kept[0] is query:      # a window's mistake: the score is kept
+            score = self._kept[1]
+        elif n:
             store = self._stores[t]
             base = dense_kernel_vector(store.block(query, n), store.sq[:n], query.x,
                                        query.sq, self.spec)
@@ -273,6 +285,33 @@ class PerceptronBattery:
             action = "insert"
         return tuple.__new__(StepOutcome,
                              (1 if score >= 0 else -1, score, mistake, action))
+
+    def step_window(self, window, marks=()):
+        """`_KernelLearner.step_window` for the battery. Its tasks are
+        independent (M = I) and its weights never change after an insert,
+        so a mistake at row r only adds y_r times row r's kernels with the
+        later rows of its task to their scores."""
+        _, queries, X, sq, tasks, labels = window
+        # the window's kernels with one another, within tasks, signed by row
+        own = dense_kernel_vector(X.T, sq, X, sq, self.spec)
+        own *= (tasks[:, None] == tasks) * np.array(labels, dtype=float)[:, None]
+        order = tasks.argsort(kind="stable")    # the rows by task: one product each
+        by_task = tasks.take(order)
+        cuts = [0, *(np.flatnonzero(np.diff(by_task)) + 1).tolist(), len(order)]
+        Xs, sqs, scores = X.take(order, axis=0), sq.take(order), np.zeros(len(order))
+        for a, b in zip(cuts, cuts[1:]):
+            t = int(by_task[a])
+            n, store = self._count[t], self._stores[t]
+            if n:
+                base = dense_kernel_vector(store.block(queries[0], n), store.sq[:n],
+                                           Xs[a:b], sqs[a:b], self.spec)
+                scores[order[a:b]] = base @ self._w[t][:n]
+        def mistake(row):
+            self._kept = (queries[row], float(scores[row]))
+            self.step(queries[row], labels[row])
+            self._kept = (None, 0.0)
+            scores[row + 1:] += own[row, row + 1:]
+        return scores, _scan_window(self, scores, labels, marks, mistake)
 
     def _append(self, t, n, query, y):
         store = self._stores[t]

@@ -266,6 +266,16 @@ class TestSynth:
                               "shift %s needs a step in 1..5 and a finite angle" % shift)
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("shift", ["2", "2:", ":0.5"])
+    def test_malformed_shift_entry_is_named_and_writes_nothing(self, capsys, tmp_path,
+                                                               shift):
+        out_path = tmp_path / "s.mtsvm"
+        code = main(["synth", "--k", "2", "--d", "3", "--n", "5", "--shift", "1:0.1," + shift,
+                     "--out", str(out_path)])
+        assert_one_error_line(capsys, code,
+                              "--shift entry %r is not step:angle, e.g. 5:0.5" % shift)
+        assert not out_path.exists()
+
     def test_bad_synth_spec_of_run_fails_cleanly(self, capsys):
         code = main(["run", "--algo", "mtrbp", "--graph", "complete",
                      "--synth", "k=0,d=5,n=10"])

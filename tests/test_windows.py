@@ -1,13 +1,14 @@
 """Windowed stepping: `run_stream` on dense queries scores each window of
-examples from one kernel block and steps a kernel learner only at its
-mistakes. It must give what stepping the same learner one example at a
-time gives: the same decisions and outputs, and scores within 1e-12 per
-unit of the largest weight (mtforg, whose shrinks amplify rounding, by its
-decisions only). A score sums weight times kernel terms with |kernel| <= 1,
-and the block product rounds kernel values differently from a per-example
-column, so the difference scales with the weights: mtbprj2 on a span that
-saturates (20 features, B = 40, three passes) grows a weight to 38 and
-differs by 2.1e-12, while no other case here passes 4e-13.
+examples from kernel blocks and steps a learner, the Perceptron battery
+included, only at its mistakes. It must give what stepping the same
+learner one example at a time gives: the same decisions and outputs, and
+scores within 1e-12 per unit of the largest weight (the battery's weights
+are +-1; mtforg, whose shrinks amplify rounding, by its decisions only).
+A score sums weight times kernel terms with |kernel| <= 1, and the block
+product rounds kernel values differently from a per-example column, so
+the difference scales with the weights: mtbprj2 on a span that saturates
+(20 features, B = 40, three passes) grows a weight to 38 and differs by
+2.1e-12, while no other case here passes 4e-13.
 
 A window is a slice of the stream's prepared input (`DatasetStream.prepared`),
 which a second run with the same kernel reads again."""
@@ -17,7 +18,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mtbudget import active_set, harness
+from mtbudget import active_set, harness, learners
 from mtbudget.data import DatasetStream, generate_synthetic
 from mtbudget.graph import TaskGraph
 from mtbudget.kernels import KernelSpec, make_queries
@@ -29,6 +30,12 @@ GRAPHS = {"complete": TaskGraph.complete(3), "edgeless": TaskGraph.edgeless(3)}
 # at a budget that evicts from the first window on or one that grows the
 # capacity (16, 32, 41) inside the first window
 CASES = [(40, 3, 12), (150, 1, 12), (150, 3, 40)]
+# (learner, kernel, graph): the battery's tasks are independent, so it runs
+# on the edgeless graph only
+LEARNERS = [(algo, kernel, graph)
+            for algo in ["mtbprj", "mtbprj2", "mtrbp", "mtforg"]
+            for kernel in KERNELS for graph in sorted(GRAPHS)]
+LEARNERS += [("perceptron_battery", kernel, "edgeless") for kernel in KERNELS]
 
 
 def windowed_run(stream, config, epochs, monkeypatch):
@@ -44,28 +51,46 @@ def _windowed_run(stream, config, epochs, monkeypatch):
 
     def make(config, dim):
         learner = real(config, dim)
-        s = learner.active_set
         scores, events = [], []
-        insert, evict, step_window = s.insert, s.evict, learner.step_window
+        step_window = learner.step_window
+        if config.algorithm == "perceptron_battery":
+            append = learner._append
 
-        def recorded_insert(query, weight, force=False):
-            hi = s._hi
-            slot = insert(query, weight, force)
-            events[-1]["reuse"] += slot < hi
-            return slot
+            def recorded_append(t, n, query, y):
+                events[-1]["append"] += 1
+                return append(t, n, query, y)
 
-        def recorded_evict(r):
-            events[-1]["evict"] += 1
-            return evict(r)
+            def capacity():     # of every task's store
+                return [store.sq.size for store in learner._stores]
+
+            learner._append = recorded_append
+        else:
+            s = learner.active_set
+            insert, evict = s.insert, s.evict
+
+            def recorded_insert(query, weight, force=False):
+                hi = s._hi
+                slot = insert(query, weight, force)
+                events[-1]["reuse"] += slot < hi
+                return slot
+
+            def recorded_evict(r):
+                events[-1]["evict"] += 1
+                return evict(r)
+
+            def capacity():
+                return s._cap
+
+            s.insert, s.evict = recorded_insert, recorded_evict
 
         def recorded_window(window, marks):
-            events.append(Counter(cap=s._cap))
+            events.append(Counter())
+            cap = capacity()
             window_scores, sizes = step_window(window, marks)
             scores.append(window_scores.copy())
-            events[-1]["grew"] = s._cap > events[-1]["cap"]
+            events[-1]["grew"] = capacity() != cap
             return window_scores, sizes
 
-        s.insert, s.evict = recorded_insert, recorded_evict
         learner.step_window = recorded_window
         runs.append((learner, scores, events))
         return learner
@@ -100,9 +125,7 @@ def stepped_run(stream, config, epochs):
 
 @pytest.mark.filterwarnings("ignore:mtforg mistake bound")
 @pytest.mark.parametrize("n, epochs, budget", CASES)
-@pytest.mark.parametrize("graph", sorted(GRAPHS))
-@pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("algo", ["mtbprj", "mtbprj2", "mtrbp", "mtforg"])
+@pytest.mark.parametrize("algo, kernel, graph", LEARNERS)
 def test_windows_match_stepping_each_example(monkeypatch, algo, kernel, graph, n,
                                              epochs, budget):
     stream, _ = generate_synthetic(3, 20, n, 0.6, 0.2, seed=n + budget)
@@ -119,12 +142,17 @@ def test_windows_match_stepping_each_example(monkeypatch, algo, kernel, graph, n
         assert metrics.trajectory == trajectory
         assert metrics.mistakes == learner.mistakes == reference.mistakes
         assert metrics.final_active == learner.active_size == reference.active_size
+        battery = algo == "perceptron_battery"
         if algo != "mtforg":
-            scale = max(1.0, float(np.max(np.abs(reference.active_set.weights))))
+            scale = 1.0 if battery else max(
+                1.0, float(np.max(np.abs(reference.active_set.weights))))
             assert np.max(np.abs(scores - want)) <= 1e-12 * scale
         # the windows did what the case is for: a window never spans two passes
         assert len(events) == -(-n // 64) * epochs
-        if budget == 12:
+        if battery:     # two appends to one of the 3 tasks in a window; growth
+            assert any(e["append"] > 3 for e in events)
+            assert any(e["grew"] for e in events) == (n == 150)
+        elif budget == 12:
             assert any(e["evict"] and e["reuse"] for e in events)
         else:
             assert events[0]["grew"]
@@ -132,15 +160,17 @@ def test_windows_match_stepping_each_example(monkeypatch, algo, kernel, graph, n
 
 
 @pytest.mark.parametrize("algo, dense", [("mtrbp", True), ("mtrbp", False),
-                                         ("perceptron_battery", True)])
-def test_only_kernel_learners_on_dense_queries_take_windows(monkeypatch, algo, dense):
-    """Sparse queries and the Perceptron battery step one example at a time."""
+                                         ("perceptron_battery", True),
+                                         ("perceptron_battery", False)])
+def test_dense_queries_take_windows_and_sparse_ones_step_each(monkeypatch, algo, dense):
+    """Every learner on dense queries takes windows and is stepped at its
+    mistakes only; sparse queries step one example at a time."""
     calls = Counter()
     real = harness.make_learner
 
     def make(config, dim):
         learner = real(config, dim)
-        step, step_window = learner.step, getattr(learner, "step_window", None)
+        step, step_window = learner.step, learner.step_window
 
         def counted_step(query, y):
             calls["step"] += 1
@@ -150,9 +180,7 @@ def test_only_kernel_learners_on_dense_queries_take_windows(monkeypatch, algo, d
             calls["window"] += 1
             return step_window(window, marks)
 
-        learner.step = counted_step
-        if step_window is not None:
-            learner.step_window = counted_window
+        learner.step, learner.step_window = counted_step, counted_window
         return learner
 
     monkeypatch.setattr(harness, "make_learner", make)
@@ -165,7 +193,7 @@ def test_only_kernel_learners_on_dense_queries_take_windows(monkeypatch, algo, d
     stream = DatasetStream(rows, rng.choice([-1.0, 1.0], n), 3, d)
     graph = TaskGraph.edgeless(3) if algo == "perceptron_battery" else TaskGraph.complete(3)
     metrics = harness.run_stream(stream, LearnerConfig(algo, graph, 10))
-    if algo == "perceptron_battery" or not dense:
+    if not dense:
         assert calls == Counter(step=n)
     else:
         assert calls["window"] == 2 and calls["step"] == metrics.mistakes
@@ -193,3 +221,52 @@ def test_window_blocks_are_views_of_the_prepared_rows(monkeypatch, algo, kernel)
     rows = stream.prepared(config.kernel).X
     assert len(blocks) == 3     # windows of 64, 64 and 22 rows
     assert all(np.shares_memory(block, rows) for block in blocks)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_battery_windows_compute_no_kernel_at_a_mistake(monkeypatch, kernel):
+    """A battery window makes one kernel call for its rows with one another,
+    on views of the prepared array, and at most one per task of the window
+    that holds support vectors. Its mistakes reach the instance's `step`,
+    which perfbench's tracer wraps, once each as an insert, and no kernel
+    is computed inside it: the step reads the kept score."""
+    stream, _ = generate_synthetic(3, 20, 150, 0.6, 0.2, seed=7)
+    config = LearnerConfig("perceptron_battery", GRAPHS["edgeless"],
+                           kernel=KernelSpec.parse(kernel))
+    windows, steps, inside = [], [], []
+    real_kernel, real_make = learners.dense_kernel_vector, harness.make_learner
+
+    def recorded_kernel(X, sq_norms, q, q_sq, spec):
+        (inside[-1] if inside else windows[-1]["calls"]).append((X, q))
+        return real_kernel(X, sq_norms, q, q_sq, spec)
+
+    def make(config, dim):
+        learner = real_make(config, dim)
+        step, step_window = learner.step, learner.step_window
+
+        def counted_step(query, y):
+            inside.append([])
+            out = step(query, y)
+            steps.append((out.action, inside.pop()))
+            return out
+
+        def counted_window(window, marks):
+            held = {t for t in window.tasks.tolist() if learner._count[t]}
+            windows.append({"tasks": len(held), "calls": []})
+            return step_window(window, marks)
+
+        learner.step, learner.step_window = counted_step, counted_window
+        return learner
+
+    monkeypatch.setattr(learners, "dense_kernel_vector", recorded_kernel)
+    monkeypatch.setattr(harness, "make_learner", make)
+    metrics = harness.run_stream(stream, config)
+    rows = stream.prepared(config.kernel).X
+    assert len(windows) == 3
+    for window in windows:
+        assert 1 <= len(window["calls"]) <= 1 + window["tasks"]
+        X, q = window["calls"][0]
+        assert np.shares_memory(X, rows) and np.shares_memory(q, rows)
+    assert windows[-1]["tasks"] == 3
+    assert len(steps) == metrics.mistakes > 0
+    assert steps == [("insert", [])] * metrics.mistakes
