@@ -195,22 +195,17 @@ class ActiveSet:
         self.n = 0
         self._cap = min(16, self.budget + 1)
         # Per slot, never moved: the stored vector (with its squared norm
-        # and Query), its zero-based task, its weight, and its row and column of H^-1.
+        # and Query), its task, its weight, and its row and column of H^-1.
         self._store = SlotStore(folded_dim(int(dim), spec), self._cap)
         self._tasks = np.zeros(self._cap, dtype=np.int64)
         self._W = np.zeros((model.k, self._cap) if kernel_mode == "single" else self._cap)
-        self._Hinv = self._left = self._right = None
-        if keeps == "inverse":
-            self._Hinv = np.zeros((self._cap,) * 2)
-            # the two factors of an eviction's rank-2 update of H^-1, by slot
-            self._left = np.zeros((2, self._cap))
-            self._right = np.zeros((2, self._cap))
+        self._Hinv = np.zeros((self._cap,) * 2) if keeps == "inverse" else None
         self._hi = 0        # slots ever used
         self._free = []     # slots below _hi that hold no entry
         self._order = np.zeros(self._cap, dtype=np.intp)   # live slots, oldest first
         self._border = None     # (a, delta) of an insert not yet in _Hinv
         self._last = None       # the last predict's or projection's terms
-        # An open window: its queries with their zero-based tasks and
+        # An open window: its queries with their tasks and
         # their kernels with one another, the block of kernels by slot and
         # window row, the rows' scores, and the row a step is on (None
         # between steps).
@@ -233,7 +228,7 @@ class ActiveSet:
 
     @property
     def slot_tasks(self):
-        """Zero-based task of each used slot."""
+        """The task of each used slot."""
         return self._tasks[:self._hi]
 
     def __len__(self):
@@ -301,7 +296,7 @@ class ActiveSet:
             return float(self._scores[row])
         col = self._slot_column(query)
         self._last = (query, col, None, None)
-        w = self._W if self.kernel_mode == "multitask" else self._W[query.task - 1]
+        w = self._W if self.kernel_mode == "multitask" else self._W[query.task]
         return float(np.dot(w[:self._hi], col))
 
     def projection(self, query: Query):
@@ -330,7 +325,7 @@ class ActiveSet:
         slot = self._free.pop() if self._free else self._hi
         self._hi = max(self._hi, slot + 1)
         self._store.write(slot, query)
-        self._tasks[slot] = query.task - 1
+        self._tasks[slot] = query.task
         self._order[n] = slot
         self._W[..., slot] = weight
         self.n = n + 1
@@ -373,12 +368,7 @@ class ActiveSet:
         self._border = None
         d = Hinv[:, slot] + a * a[slot] / delta
         gammas = -d / d[slot]
-        left, right = self._left[:, :hi], self._right[:, :hi]
-        np.divide(a, delta, out=left[0])
-        left[1] = gammas
-        right[0] = a
-        right[1] = d
-        Hinv += left.T @ right
+        Hinv += np.array((a / delta, gammas)).T @ np.array((a, d))
         Hinv[slot, :] = 0.0
         Hinv[:, slot] = 0.0
         gammas[slot] = 0.0
@@ -462,10 +452,9 @@ class ActiveSet:
         past the budget), so the full-budget matrix is one contiguous block."""
         new_cap = max(self._cap + 1, min(2 * self._cap, self.budget + 1))
         self._store.resize(new_cap)
-        for name in ("_tasks", "_order", "_W", "_left", "_right"):
+        for name in ("_tasks", "_order", "_W"):
             arr = getattr(self, name)
-            if arr is not None:
-                setattr(self, name, _grown(arr, arr.shape[:-1] + (new_cap,)))
+            setattr(self, name, _grown(arr, arr.shape[:-1] + (new_cap,)))
         if self._block is not None:
             self._block = _grown(self._block[:self._cap], (new_cap, self._block.shape[1]))
         if self._Hinv is not None:

@@ -28,20 +28,32 @@ def _emit(obj):
 
 
 def _parse_synth_spec(text):
-    opts = {}
+    opts, given = {}, {}
     for part in text.split(","):
         key, _, value = part.partition("=")
-        opts[key.strip()] = value.strip()
+        key = "relatedness" if key.strip() == "rel" else key.strip()
+        if key in given:
+            raise ValueError("--synth sets %s twice: %r and %r"
+                             % (key, given[key], part.strip()))
+        given[key], opts[key] = part.strip(), value.strip()
     unknown = sorted(set(opts) - set(SYNTH_KEYS))
     if unknown:
         raise ValueError("unknown --synth key(s) %s; known: %s"
                          % (", ".join(map(repr, unknown)), ", ".join(SYNTH_KEYS)))
-    return dict(k=int(opts.get("k", 2)), d=int(opts.get("d", 10)),
-                n=int(opts.get("n", 1000)),
-                relatedness=float(opts.get("rel", opts.get("relatedness", 0.5))),
-                noise=float(opts.get("noise", 0.0)),
-                seed=int(opts.get("seed", 0)),
-                min_margin=float(opts.get("margin", 0.0)))
+
+    def read(key, kind, default):
+        if key not in opts:
+            return default
+        try:
+            return kind(opts[key])
+        except ValueError:
+            raise ValueError("--synth %s must be %s, got %r" % (
+                key, "an integer" if kind is int else "a number", opts[key])) from None
+
+    return dict(k=read("k", int, 2), d=read("d", int, 10), n=read("n", int, 1000),
+                relatedness=read("relatedness", float, 0.5),
+                noise=read("noise", float, 0.0), seed=read("seed", int, 0),
+                min_margin=read("margin", float, 0.0))
 
 
 def _load_stream(args):

@@ -84,9 +84,9 @@ def _increasing(e):
 
 class InteractionModel:
     """M = (I + L)^-1 and c_G for one task graph. M is private and
-    read-only; callers read it only through the methods below. Tasks are
-    one-based, but `tasks` arrays zero-based, as an ActiveSet keeps them.
-    M is exactly symmetric, so a row is also a column."""
+    read-only; callers read it only through the methods below, which take
+    zero-based tasks, as a Query holds them. M is exactly symmetric, so a
+    row is also a column."""
 
     def __init__(self, M: np.ndarray):
         M.flags.writeable = False
@@ -98,22 +98,22 @@ class InteractionModel:
         return self._M.shape[0]
 
     def coupling(self, task, tasks):
-        """M[task, tasks]: a new array, one entry per zero-based task."""
-        return self._M[task - 1].take(tasks)
+        """M[task, tasks]: a new array, one entry per task."""
+        return self._M[task].take(tasks)
 
     def couplings(self, rows, tasks):
-        """M[rows][:, tasks]: a new len(rows) x len(tasks) array, both
-        zero-based. By symmetry it is gathered from M's rows `tasks`, so only
-        len(tasks) x k entries are copied on the way."""
+        """M[rows][:, tasks]: a new len(rows) x len(tasks) array. By
+        symmetry it is gathered from M's rows `tasks`, so only len(tasks) x k
+        entries are copied on the way."""
         return self._M.take(tasks, axis=0)[:, rows].T
 
     def self_coupling(self, task) -> float:
         """M[task, task]."""
-        return float(self._M[task - 1, task - 1])
+        return float(self._M[task, task])
 
     def row(self, task):
         """M's row `task`, a read-only view."""
-        return self._M[task - 1]
+        return self._M[task]
 
     def columns(self, tasks):
         """M[:, tasks]: a new k x len(tasks) array."""

@@ -86,7 +86,7 @@ def run_stream(stream: DatasetStream, config: LearnerConfig,
     positive, sizes = run(learner, prepared, marks)
     # cell 0..3 = tp, fp, fn, tn, from the prediction's and the label's sign
     cell = 2 * ~positive + np.tile(stream.labels != 1, epochs)
-    per_task = np.bincount(4 * np.tile(stream.tasks - 1, epochs) + cell,
+    per_task = np.bincount(4 * np.tile(prepared.tasks, epochs) + cell,
                            minlength=4 * k).reshape(k, 4)
     # the counts up to each mark: a bincount by segment between marks, summed
     segment = np.arange(total) // every

@@ -132,7 +132,7 @@ class Query(NamedTuple):
     Sparse form: `idx` holds the zero-based ids of the nonzero features and
     `x` their values. Dense form: `idx` is None and `x` is the whole row.
     `x` is folded into the kernel (`make_queries`), `sq` is its squared norm
-    (only the gaussian reads it) and `task` the 1-based task."""
+    (only the gaussian reads it) and `task` the zero-based task."""
 
     idx: Optional[np.ndarray]
     x: np.ndarray
@@ -233,12 +233,11 @@ def make_queries(stream, spec: KernelSpec) -> Prepared:
             X /= norm[:, None]
         X.flags.writeable = False
         xs, idxs = X, repeat(None)
+    tasks = stream.tasks - 1    # the one place a task id becomes an index
     # tuple.__new__ builds each Query in C; Query's own __new__ is Python code
     queries = list(map(tuple.__new__, repeat(Query),
-                       zip(idxs, xs, sq.tolist(), stream.tasks.tolist())))
-    sq.flags.writeable = False
-    tasks = stream.tasks - 1
-    tasks.flags.writeable = False
+                       zip(idxs, xs, sq.tolist(), tasks.tolist())))
+    sq.flags.writeable = tasks.flags.writeable = False
     return Prepared(spec, queries, None if sparse else X, sq, tasks,
                     stream.labels.astype(np.int64).tolist())
 

@@ -267,7 +267,7 @@ class PerceptronBattery:
         self.mistakes = 0
 
     def step(self, query: Query, y: int) -> StepOutcome:
-        t = query.task - 1
+        t = query.task
         n = self._count[t]
         score = 0.0
         if self._kept[0] is query:      # a window's mistake: the score is kept
@@ -291,7 +291,8 @@ class PerceptronBattery:
         independent (M = I) and its weights never change after an insert,
         so a mistake at row r only adds y_r times row r's kernels with the
         later rows of its task to their scores."""
-        _, queries, X, sq, tasks, labels = window
+        queries, X, sq, tasks, labels = (window.queries, window.X, window.sq,
+                                         window.tasks, window.labels)
         # the window's kernels with one another, within tasks, signed by row
         own = dense_kernel_vector(X.T, sq, X, sq, self.spec)
         own *= (tasks[:, None] == tasks) * np.array(labels, dtype=float)[:, None]

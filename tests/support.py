@@ -66,7 +66,7 @@ def instance_of(query, spec):
     x = query.x[idx] if query.idx is None else query.x
     if spec.kind == "polynomial" and spec.offset > 0:
         idx, x = idx[:-1], x[:-1] * (math.sqrt(spec.offset) / x[-1])
-    return MultitaskInstance(SparseVector(idx + 1, x), query.task)
+    return MultitaskInstance(SparseVector(idx + 1, x), query.task + 1)
 
 
 def sparse_dot(a: SparseVector, b: SparseVector) -> float:
@@ -144,8 +144,8 @@ def entry_queries(s):
 
 
 def entry_tasks(s):
-    """One-based tasks of an ActiveSet's entries, oldest first."""
-    return s.slot_tasks[s.order] + 1
+    """Tasks of an ActiveSet's entries, oldest first."""
+    return s.slot_tasks[s.order]
 
 
 def gram_inv(s):

@@ -56,9 +56,9 @@ def near_twin(rng, q, resid_sq=4e-10, spec=SPEC):
     x = instance_of(q, spec).x.to_dense(q.x.size)
     u = rng.normal(size=x.size)
     u -= (u @ x) / (x @ x) * x
-    tilt = np.sqrt(resid_sq / M[q.task - 1, q.task - 1])
+    tilt = np.sqrt(resid_sq / M[q.task, q.task])
     u *= np.linalg.norm(x) * np.tan(np.arcsin(tilt)) / np.linalg.norm(u)
-    return query_of(MultitaskInstance(SparseVector.from_dense(x + u), q.task),
+    return query_of(MultitaskInstance(SparseVector.from_dense(x + u), q.task + 1),
                     x.size, spec)
 
 
@@ -212,7 +212,7 @@ class TestInsert:
         s.insert(q, 1.0)
         s.projection(q)
         # an equal query of another task is another query
-        s.insert(q._replace(task=q.task % 3 + 1), 1.0)
+        s.insert(q._replace(task=(q.task + 1) % 3), 1.0)
         G = dense_gram_oracle(s)
         assert inverse_error(s, G) <= 1e-12
         assert np.max(np.abs(gram_inv(s) - np.linalg.inv(G))) <= 1e-9

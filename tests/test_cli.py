@@ -113,6 +113,12 @@ class TestRun:
          "example 1 (task 1): kernel poly:600:1:norm gives the raw self kernel 4.1"),
         (("--k", "0"), "--k must be at least 1, got 0"),     # once ran on the stream's k
         (("--k", "-2"), "--k must be at least 1, got -2"),
+        # these once named no key, or ran on the last of two values
+        (("--synth", "k=2,n=abc"), "--synth n must be an integer, got 'abc'"),
+        (("--synth", "k=2,noise=x"), "--synth noise must be a number, got 'x'"),
+        (("--synth", "k=2,d=3,n=20,k=3"), "--synth sets k twice: 'k=2' and 'k=3'"),
+        (("--synth", "rel=0.1,relatedness=0.9"),
+         "--synth sets relatedness twice: 'rel=0.1' and 'relatedness=0.9'"),
     ])
     def test_bad_input_fails_cleanly(self, capsys, argv, message):
         # each of these once ran to exit 0 on a meaningless run, or ended

@@ -130,7 +130,7 @@ class TestInteractionModel:
 
     def test_single_task(self):
         m = build_interaction_model(TaskGraph.edgeless(1))
-        assert m.k == 1 and m.self_coupling(1) == pytest.approx(1.0)
+        assert m.k == 1 and m.self_coupling(0) == pytest.approx(1.0)
         assert m.cG == pytest.approx(1.0)
 
     def test_inverse_is_exactly_symmetric(self):
@@ -146,10 +146,10 @@ class TestInteractionModel:
             M = entries(m)
             assert np.array_equal(M, M.T)
             tasks = np.arange(g.k)
-            for t in range(1, g.k + 1):
-                assert np.array_equal(m.row(t), M[:, t - 1])
+            for t in range(g.k):
+                assert np.array_equal(m.row(t), M[:, t])
                 assert np.array_equal(m.coupling(t, tasks), m.row(t))
-                assert m.self_coupling(t) == m.row(t)[t - 1]
+                assert m.self_coupling(t) == m.row(t)[t]
 
     def test_accessors_match_an_independent_inverse(self):
         rng = np.random.default_rng(13)
@@ -158,11 +158,11 @@ class TestInteractionModel:
             m = build_interaction_model(g)
             want = inverse_of(g)
             tasks = rng.integers(g.k, size=7)
-            t = int(rng.integers(1, g.k + 1))
+            t = int(rng.integers(g.k))
             assert np.max(np.abs(m.columns(tasks) - want[:, tasks])) <= 1e-9
-            assert np.max(np.abs(m.coupling(t, tasks) - want[t - 1, tasks])) <= 1e-9
-            assert np.max(np.abs(m.row(t) - want[t - 1])) <= 1e-9
-            assert m.self_coupling(t) == pytest.approx(want[t - 1, t - 1], abs=1e-9)
+            assert np.max(np.abs(m.coupling(t, tasks) - want[t, tasks])) <= 1e-9
+            assert np.max(np.abs(m.row(t) - want[t])) <= 1e-9
+            assert m.self_coupling(t) == pytest.approx(want[t, t], abs=1e-9)
 
     def test_a_shared_model_cannot_be_written(self):
         """Every learner of a graph may read one model: a row is a

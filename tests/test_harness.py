@@ -119,7 +119,7 @@ def test_tallies_match_a_naive_recount(algo, epochs, n):
                 cell = 0 if y == 1 else 1
             else:
                 cell = 2 if y == 1 else 3
-            per_task[query.task - 1][cell] += 1
+            per_task[query.task][cell] += 1
             if step % every == 0 or step == total:
                 tp = sum(row[0] for row in per_task)
                 fp = sum(row[1] for row in per_task)

@@ -189,8 +189,23 @@ class TestQueryConstruction:
         for q, inst in zip(queries, rows):
             assert type(q) is Query and len(q) == len(Query._fields) == 4
             assert q == Query(q.idx, q.x, q.sq, q.task) == Query(*q)
-            assert (q.idx is None) == (d == 5) and q.task == inst.task
+            assert (q.idx is None) == (d == 5) and q.task == inst.task - 1
             assert isinstance(q.sq, float) and type(q.task) is int
+
+    @pytest.mark.parametrize("d", [8, 2000])    # dense queries, then sparse ones
+    def test_query_task_is_the_prepared_zero_based_task(self, d):
+        """The stream's one-based task ids become indices in `make_queries`
+        alone: each Query holds the task its row has in `Prepared.tasks`."""
+        rng = np.random.default_rng(7)
+        rows = [MultitaskInstance(SparseVector(np.sort(rng.choice(d, 4, replace=False)) + 1,
+                                               rng.normal(size=4)), int(t))
+                for t in rng.integers(1, 6, size=40)]
+        stream = DatasetStream(rows, np.ones(len(rows)), 5, d)
+        prepared = make_queries(stream, KernelSpec.parse("linear:norm"))
+        assert (prepared.X is None) == (d == 2000)
+        assert np.array_equal(prepared.tasks, stream.tasks - 1)
+        assert all(q.task == prepared.tasks[r] for r, q in enumerate(prepared.queries))
+        assert {q.task for q in prepared.queries} == set(range(5))
 
 
 class TestSelfKernelRange:

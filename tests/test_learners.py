@@ -341,8 +341,8 @@ def test_one_kernel_column_per_battery_predict(monkeypatch):
     for query, y in rand_examples(np.random.default_rng(4), 300):
         before = calls[0]
         out = learner.step(query, y)
-        assert calls[0] - before == (1 if mistakes[query.task - 1] else 0)
-        mistakes[query.task - 1] += out.mistake
+        assert calls[0] - before == (1 if mistakes[query.task] else 0)
+        mistakes[query.task] += out.mistake
     assert len(appends) == learner.mistakes > 3 and not any(appends)
 
 
@@ -363,6 +363,39 @@ def test_learners_on_one_graph_share_one_model(monkeypatch):
     assert len(solves) == 1
     assert all(learner.model is graph.model for learner in made)
     assert "model" not in repr(graph)
+
+
+@pytest.mark.parametrize("algo, size, bound", [
+    # measured on this stream: 9.0e-10 (cond(G) 2.5e5) and 8.9e-13
+    # (cond(G) 2.1e3), so each bound leaves about 11x headroom
+    ("mtbprj", 200, 1e-8),
+    ("mtbprj2", 20, 1e-11),
+])
+def test_inverse_holds_over_a_saturated_run(algo, size, bound):
+    """H^-1 is only ever updated, never recomputed: after 10 000 windowed
+    steps at B = k * d, whose span saturates, it still inverts the Gram
+    matrix of the stored rows, built here from the raw vectors and an
+    independently inverted M."""
+    k, d = 10, 20
+    stream, _ = generate_synthetic(k, d, 10_000, 0.9, 0.1, seed=0)
+    graph = TaskGraph.complete(k)
+    learner = make_learner(cfg(algo, graph, budget=k * d), d)
+    prepared = stream.prepared(SPEC)
+    for i in range(0, len(stream), 64):
+        learner.step_window(prepared.rows(i, i + 64))
+    s = learner.active_set
+    row_of = {id(q): r for r, q in enumerate(prepared.queries)}
+    rows = [row_of[id(q)] for q in entry_queries(s)]
+    instances = stream.instances      # built anew on each read
+    stored = [instances[r] for r in rows]
+    X = np.array([inst.x.to_dense(d) for inst in stored])
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    G = X @ X.T
+    if algo == "mtbprj":
+        tasks = [inst.task - 1 for inst in stored]
+        G *= inverse_of(graph)[np.ix_(tasks, tasks)]
+    assert len(s) == size
+    assert np.max(np.abs(G @ gram_inv(s) - np.eye(size))) <= bound
 
 
 class TestMtrbp:
@@ -516,12 +549,7 @@ class TestMtforg:
         sizes = [v.size for obj in (learner, s, s._store) for v in vars(obj).values()
                  if isinstance(v, np.ndarray)]
         assert len(sizes) >= 5 and max(sizes) < 100 ** 2
-        # nor the factor buffers of H^-1's updates, which only a set with
-        # H^-1 allocates
-        assert s._Hinv is None and s._left is None and s._right is None
-        kept = make_learner(cfg("mtbprj", TaskGraph.complete(3), budget=100),
-                            stream.d).active_set
-        assert kept._left.shape == kept._right.shape == (2, kept._cap)
+        assert s._Hinv is None
 
     def test_small_budget_warns(self):
         with pytest.warns(UserWarning):

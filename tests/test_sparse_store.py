@@ -162,7 +162,7 @@ class TestQueryForm:
         sparse = [sparse_instance(rng) for _ in range(5)]
         queries = queries_of(sparse, D, SPECS["linear"])
         assert all(q.idx is not None for q in queries)
-        assert [q.task for q in queries] == [inst.task for inst in sparse]
+        assert [q.task for q in queries] == [inst.task - 1 for inst in sparse]
         dense = [MultitaskInstance(SparseVector.from_dense(rng.standard_normal(8)), 1)
                  for _ in range(5)]
         assert all(q.idx is None for q in queries_of(dense, 8, SPECS["linear"]))
@@ -291,7 +291,7 @@ class TestCompactRows:
         stored = [[] for _ in range(K)]
         for q in self.sparse_queries(60, 6):
             if battery.step(q, 1).mistake:
-                stored[q.task - 1].append(q)
+                stored[q.task].append(q)
         assert all(stored)
         for store, queries in zip(battery._stores, stored):
             self.check_rows(store, queries)

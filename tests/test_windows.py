@@ -115,7 +115,7 @@ def stepped_run(stream, config, epochs):
         query, y = queries[(step - 1) % len(queries)], labels[(step - 1) % len(queries)]
         out = learner.step(query, y)
         scores.append(out.score)
-        per_task[query.task - 1, 2 * (out.prediction != 1) + (y != 1)] += 1
+        per_task[query.task, 2 * (out.prediction != 1) + (y != 1)] += 1
         if step % every == 0 or step == total:
             tp, fp, fn = per_task.sum(axis=0)[:3].tolist()
             f = 2.0 * tp / (2 * tp + fp + fn) if tp + fp + fn else 0.0
