@@ -130,8 +130,9 @@ class DatasetStream:
 
     @property
     def instances(self):
-        """The rows as MultitaskInstances, built on each read; the package
-        itself never reads them."""
+        """The rows as MultitaskInstances. Each read builds all n of them,
+        so `stream.instances[r]` in a loop costs O(n) per row: read it once.
+        The package itself never reads them."""
         bounds = self.indptr.tolist()
         return [MultitaskInstance(SparseVector(self.ids[a:b], self.values[a:b]), t)
                 for a, b, t in zip(bounds, bounds[1:], self.tasks.tolist())]

@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -15,8 +11,6 @@ from .errors import EmptyStream, TaskOutOfRange
 from .graph import TaskGraph
 from .kernels import KernelSpec
 from .learners import LearnerConfig, make_learner
-
-_prediction = itemgetter(0)     # of a learner's StepOutcome
 
 # Steps a learner on dense queries scores as one block.
 WINDOW = 64
@@ -59,14 +53,15 @@ def run_stream(stream: DatasetStream, config: LearnerConfig,
     prepared input for the config's kernel (`DatasetStream.prepared`),
     which holds each example's query in the form (sparse or dense) the
     stream's density favours, so a sparse stream is never densified; a
-    later run with the same kernel builds nothing. Every learner on dense
-    queries, the Perceptron battery included, takes them a window of up to
-    WINDOW rows of the prepared arrays at a time and is stepped only at its
-    mistakes (`step_window`); sparse queries go one `step` per example.
+    later run with the same kernel builds nothing.
 
-    The loop keeps whether each step predicted +1, and |S| at each
-    trajectory mark (every 1% of the steps, and the last); the confusion
-    counts and the trajectory's F are tallied from them afterwards."""
+    One loop hands the learner each pass's rows, as views of the prepared
+    input: dense rows in windows of up to WINDOW rows to `step_window`,
+    which steps only at the window's mistakes, and sparse rows a pass at
+    a time to `_step_rows`, one `step` per row. Both return the score each
+    row predicted from and |S| after each row; the confusion counts, the
+    trajectory's F at its marks (every 1% of the steps, and the last) and
+    |S| there are read from them afterwards."""
     if len(stream) == 0:
         raise EmptyStream("cannot run a learner on an empty stream")
     if not stream.binary:
@@ -79,61 +74,46 @@ def run_stream(stream: DatasetStream, config: LearnerConfig,
                              % (stream.k, k))
     learner = make_learner(config, dim=stream.d)
     prepared = stream.prepared(config.kernel)
-    total = len(stream) * epochs
+    n = len(stream)
+    if prepared.X is not None:
+        width, step = WINDOW, learner.step_window
+    else:
+        width, step = n, lambda rows: _step_rows(learner, rows)
+    total = n * epochs
+    scores, sizes = np.empty(total), np.empty(total, dtype=np.int64)
+    for done in range(0, total, n):
+        for i in range(0, n, width):
+            j = min(i + width, n)
+            at = slice(done + i, done + j)
+            scores[at], sizes[at] = step(prepared.rows(i, j))
     every = max(1, total // 100)
-    marks = list(range(every, total, every)) + [total]
-    run = _run_windows if prepared.X is not None else _run_each
-    positive, sizes = run(learner, prepared, marks)
+    marks = np.append(np.arange(every, total, every), total)
     # cell 0..3 = tp, fp, fn, tn, from the prediction's and the label's sign
-    cell = 2 * ~positive + np.tile(stream.labels != 1, epochs)
+    cell = 2 * ~(scores >= 0) + np.tile(stream.labels != 1, epochs)
     per_task = np.bincount(4 * np.tile(prepared.tasks, epochs) + cell,
                            minlength=4 * k).reshape(k, 4)
     # the counts up to each mark: a bincount by segment between marks, summed
     segment = np.arange(total) // every
     upto = np.bincount(4 * segment + cell, minlength=4 * len(marks))
     upto = upto.reshape(-1, 4).cumsum(axis=0).tolist()
-    trajectory = [(mark, _f_measure(tp, fp, fn), size)
-                  for mark, (tp, fp, fn, _), size in zip(marks, upto, sizes)]
+    trajectory = [(mark, _f_measure(tp, fp, fn), size) for mark, (tp, fp, fn, _), size
+                  in zip(marks.tolist(), upto, sizes[marks - 1].tolist())]
     return StreamMetrics(mistakes=learner.mistakes, per_task=per_task,
                          trajectory=trajectory, final_active=learner.active_size)
 
 
-def _run_each(learner, prepared, marks):
-    """Step the learner once per example, over as many passes of the
-    prepared queries as the last mark needs. Returns whether each step
-    predicted +1, and |S| at each mark."""
-    step = learner.step
-    qs = chain.from_iterable(repeat(prepared.queries))
-    ys = chain.from_iterable(repeat(prepared.labels))
-    predictions = array("b")
-    sizes = []
-    done = 0
-    for mark in marks:
-        predictions.extend(map(_prediction, map(step, islice(qs, mark - done),
-                                                islice(ys, mark - done))))
-        sizes.append(learner.active_size)
-        done = mark
-    return np.frombuffer(predictions, dtype=np.int8) == 1, sizes
-
-
-def _run_windows(learner, prepared, marks):
-    """`_run_each` for dense queries: the learner steps through
-    windows of at most WINDOW examples, cut at each pass's end, each the
-    prepared input's rows as views (see `step_window`)."""
-    n, total = len(prepared.queries), marks[-1]
-    positive = []
-    sizes = []
-    done = seen = 0
-    while done < total:
-        i = done % n
-        m = min(WINDOW, total - done, n - i)
-        inside = bisect_right(marks, done + m, lo=seen)
-        scores, at = learner.step_window(prepared.rows(i, i + m),
-                                         [mark - done for mark in marks[seen:inside]])
-        positive.append(scores >= 0)
-        sizes += at
-        done, seen = done + m, inside
-    return np.concatenate(positive), sizes
+def _step_rows(learner, rows):
+    """`step_window` for sparse rows: one `step` per row, reading |S| only
+    after a mistake, the one step that can change it."""
+    scores, sizes = [], []
+    size = learner.active_size
+    for query, y in zip(rows.queries, rows.labels):
+        _, score, mistake, _ = learner.step(query, y)
+        if mistake:
+            size = learner.active_size
+        scores.append(score)
+        sizes.append(size)
+    return np.array(scores), np.array(sizes)
 
 
 def baseline_active_size(stream: DatasetStream, kernel: KernelSpec) -> int:
@@ -148,14 +128,17 @@ def baseline_active_size(stream: DatasetStream, kernel: KernelSpec) -> int:
 def resolve_budget(spec, stream: DatasetStream, kernel: KernelSpec) -> int:
     """Absolute integer or `<pct>%` of the baseline active-set size."""
     text = str(spec).strip()
-    if text.endswith("%"):
-        frac = float(text[:-1]) / 100.0
-        if not (np.isfinite(frac) and frac > 0):
-            raise ValueError("budget fraction %r must be finite and positive"
-                             % text)
-        base = baseline_active_size(stream, kernel)
-        return max(1, int(np.ceil(frac * base)))
-    value = int(text)
-    if value < 1:
-        raise ValueError("budget must be positive")
-    return value
+    percent = text.endswith("%")
+    try:
+        value = float(text[:-1]) if percent else int(text)
+    except ValueError:
+        raise ValueError("budget must be a positive integer or a percentage such "
+                         "as 10%%, got %r" % text) from None
+    if not percent:
+        if value < 1:
+            raise ValueError("budget must be positive")
+        return value
+    frac = value / 100.0
+    if not (np.isfinite(frac) and frac > 0):
+        raise ValueError("budget fraction %r must be finite and positive" % text)
+    return max(1, int(np.ceil(frac * baseline_active_size(stream, kernel))))

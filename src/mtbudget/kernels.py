@@ -95,13 +95,20 @@ class KernelSpec:
         if not parts:
             raise ValueError("empty kernel spec")
         kind = parts[0]
+
+        def number(cast, field):
+            try:
+                return cast(field)
+            except ValueError as err:
+                raise ValueError("cannot parse kernel spec %r: %s" % (text, err)) from None
+
         if kind == "linear" and len(parts) == 1:
             return KernelSpec("linear", normalize=normalize)
         if kind == "poly" and len(parts) == 3:
-            return KernelSpec("polynomial", degree=int(parts[1]),
-                              offset=float(parts[2]), normalize=normalize)
+            return KernelSpec("polynomial", degree=number(int, parts[1]),
+                              offset=number(float, parts[2]), normalize=normalize)
         if kind == "gauss" and len(parts) == 2:
-            return KernelSpec("gaussian", gamma=float(parts[1]),
+            return KernelSpec("gaussian", gamma=number(float, parts[1]),
                               normalize=normalize)
         raise ValueError("cannot parse kernel spec %r" % text)
 
@@ -147,8 +154,8 @@ class Prepared(NamedTuple):
     `queries` holds one Query per row and `labels` the labels as ints. A
     dense stream's queries are the rows of `X`, its n x d' array of folded
     rows; a sparse stream has X None. `sq` holds the queries' squared norms
-    and `tasks` their zero-based tasks. For a dense stream, `rows(i, j)` is
-    the input of rows i..j-1 with every array a view: a window."""
+    and `tasks` their zero-based tasks. `rows(i, j)` is the input of rows
+    i..j-1 with every array a view: for a dense stream, a window."""
 
     spec: KernelSpec
     queries: list
@@ -158,7 +165,8 @@ class Prepared(NamedTuple):
     labels: list
 
     def rows(self, i, j):
-        return Prepared(self.spec, self.queries[i:j], self.X[i:j], self.sq[i:j],
+        X = None if self.X is None else self.X[i:j]
+        return Prepared(self.spec, self.queries[i:j], X, self.sq[i:j],
                         self.tasks[i:j], self.labels[i:j])
 
 

@@ -119,6 +119,16 @@ class TestRun:
         (("--synth", "k=2,d=3,n=20,k=3"), "--synth sets k twice: 'k=2' and 'k=3'"),
         (("--synth", "rel=0.1,relatedness=0.9"),
          "--synth sets relatedness twice: 'rel=0.1' and 'relatedness=0.9'"),
+        # these once named neither the option nor the value
+        (("--budget", "abc"),
+         "budget must be a positive integer or a percentage such as 10%, got 'abc'"),
+        (("--budget", "0.5"),
+         "budget must be a positive integer or a percentage such as 10%, got '0.5'"),
+        (("--budget", "%"),
+         "budget must be a positive integer or a percentage such as 10%, got '%'"),
+        (("--kernel", "poly:2.5:1:norm"), "cannot parse kernel spec 'poly:2.5:1:norm': "),
+        (("--kernel", "gauss:x"), "cannot parse kernel spec 'gauss:x': "),
+        (("--seed", "-1"), "seed must be a non-negative integer, got -1"),
     ])
     def test_bad_input_fails_cleanly(self, capsys, argv, message):
         # each of these once ran to exit 0 on a meaningless run, or ended

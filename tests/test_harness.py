@@ -93,29 +93,46 @@ class TestCausality:
         assert mist == m_half.mistakes
 
 
+def sparse_stream(n, k=3, d=100, nnz=4, seed=0):
+    """Rows with 4 of 100 features set, below kernels.SPARSE_DENSITY, so
+    that their queries stay sparse; labels from a random hyperplane."""
+    rng = np.random.default_rng(seed)
+    ids = np.concatenate([np.sort(rng.choice(d, nnz, replace=False)) + 1 for _ in range(n)])
+    values = rng.normal(size=n * nnz)
+    scores = (values * rng.normal(size=d)[ids - 1]).reshape(n, nnz).sum(axis=1)
+    return DatasetStream((np.arange(n + 1) * nnz, ids, values, np.arange(n) % k + 1),
+                         np.where(scores >= 0, 1.0, -1.0), k, d)
+
+
+@pytest.mark.filterwarnings("ignore:mtforg mistake bound")
 @pytest.mark.parametrize("n", [57, 250, 1000])
 @pytest.mark.parametrize("epochs", [1, 3])
-@pytest.mark.parametrize("algo", ["mtbprj", "perceptron_battery"])
-def test_tallies_match_a_naive_recount(algo, epochs, n):
+@pytest.mark.parametrize("algo, sparse", [pytest.param(algo, sparse, id=algo + "-sparse" * sparse)
+                                          for sparse in (False, True) for algo in ALGORITHMS])
+def test_tallies_match_a_naive_recount(algo, sparse, epochs, n):
     """`run_stream` tallies after its loop; a naive loop that counts as it
-    steps a fresh learner must give the same outputs. n = 57 marks every
-    step, and 250 at 3 epochs leaves a tail mark at the last step (750 is
-    not a multiple of 7)."""
-    stream = small_stream(n=n, seed=n)
+    steps a fresh learner must give the same outputs, |S| at each mark
+    included, on dense queries (windows) and on sparse ones (`_step_rows`).
+    n = 57 marks every step, and 250 at 3 epochs leaves a tail mark at the
+    last step (750 is not a multiple of 7)."""
+    stream = sparse_stream(n, seed=n) if sparse else small_stream(n=n, seed=n)
     graph = TaskGraph.edgeless(3) if algo == "perceptron_battery" else TaskGraph.complete(3)
     cfg = LearnerConfig(algo, graph, budget=12, eta=0.1, kernel=SPEC)
     learner = make_learner(cfg, stream.d)
-    examples = list(zip(kernels.make_queries(stream, SPEC).queries, stream.labels))
+    prepared = kernels.make_queries(stream, SPEC)
+    assert (prepared.X is None) == sparse
+    examples = list(zip(prepared.queries, stream.labels))
     total = n * epochs
     every = max(1, total // 100)
     per_task = [[0, 0, 0, 0] for _ in range(3)]
     trajectory = []
-    step = 0
+    step = inserts = 0
     for _ in range(epochs):
         for query, y in examples:
-            pred = learner.step(query, int(y)).prediction
+            out = learner.step(query, int(y))
             step += 1
-            if pred == 1:
+            inserts += out.action == "insert"
+            if out.prediction == 1:
                 cell = 0 if y == 1 else 1
             else:
                 cell = 2 if y == 1 else 3
@@ -125,11 +142,13 @@ def test_tallies_match_a_naive_recount(algo, epochs, n):
                 fp = sum(row[1] for row in per_task)
                 fn = sum(row[2] for row in per_task)
                 f = 2.0 * tp / (2 * tp + fp + fn) if tp + fp + fn else 0.0
-                trajectory.append((step, f, learner.active_size))
+                # the battery never evicts, so its |S| counts its inserts
+                size = inserts if algo == "perceptron_battery" else len(learner.active_set)
+                trajectory.append((step, f, size))
     m = run_stream(stream, cfg, epochs=epochs)
     assert m.per_task.tolist() == per_task
     assert m.mistakes == learner.mistakes
-    assert m.final_active == learner.active_size
+    assert m.final_active == trajectory[-1][2]
     assert m.trajectory == trajectory
     assert trajectory[-1][0] == total and len(trajectory) == -(-total // every)
 

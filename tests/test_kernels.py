@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,14 @@ class TestKernelSpecParse:
         for text in ["", "poly:2", "gauss", "rbf:1", "poly:0:1"]:
             with pytest.raises(ValueError):
                 KernelSpec.parse(text)
+
+    @pytest.mark.parametrize("text, number", [("poly:2.5:1:norm", "'2.5'"),
+                                              ("poly:2:one", "'one'"),
+                                              ("gauss:x", "'x'")])
+    def test_malformed_number_names_the_spec(self, text, number):
+        with pytest.raises(ValueError, match="^cannot parse kernel spec '%s': .*%s$"
+                           % (re.escape(text), re.escape(number))):
+            KernelSpec.parse(text)
 
     @pytest.mark.parametrize("text", ["gauss:nan", "gauss:inf", "gauss:nan:norm",
                                       "poly:2:nan:norm", "poly:2:inf"])

@@ -64,6 +64,13 @@ class TestLearnerConfig:
     def test_eta_zero_is_allowed(self):
         assert cfg("mtbprj", TaskGraph.complete(3), eta=0.0).eta == 0.0
 
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_seed_must_be_nonnegative(self, algo):
+        # mtrbp's generator once rejected it unnamed; the rest ignored it
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            cfg(algo, TaskGraph.complete(3), seed=-1)
+        assert cfg(algo, TaskGraph.complete(3), seed=0).seed == 0
+
 
 class TestMtbprj:
     def test_correct_prediction_no_change(self):

@@ -83,10 +83,10 @@ def _windowed_run(stream, config, epochs, monkeypatch):
 
             s.insert, s.evict = recorded_insert, recorded_evict
 
-        def recorded_window(window, marks):
+        def recorded_window(window):
             events.append(Counter())
             cap = capacity()
-            window_scores, sizes = step_window(window, marks)
+            window_scores, sizes = step_window(window)
             scores.append(window_scores.copy())
             events[-1]["grew"] = capacity() != cap
             return window_scores, sizes
@@ -176,9 +176,9 @@ def test_dense_queries_take_windows_and_sparse_ones_step_each(monkeypatch, algo,
             calls["step"] += 1
             return step(query, y)
 
-        def counted_window(window, marks):
+        def counted_window(window):
             calls["window"] += 1
-            return step_window(window, marks)
+            return step_window(window)
 
         learner.step, learner.step_window = counted_step, counted_window
         return learner
@@ -250,10 +250,10 @@ def test_battery_windows_compute_no_kernel_at_a_mistake(monkeypatch, kernel):
             steps.append((out.action, inside.pop()))
             return out
 
-        def counted_window(window, marks):
+        def counted_window(window):
             held = {t for t in window.tasks.tolist() if learner._count[t]}
             windows.append({"tasks": len(held), "calls": []})
-            return step_window(window, marks)
+            return step_window(window)
 
         learner.step, learner.step_window = counted_step, counted_window
         return learner
