@@ -35,18 +35,18 @@ folded into the normalized kernel, so a column is one gemv times the
 InteractionModel's coupling of the query's task with the slots' tasks; no
 k x B table is kept.
 
-A run of upcoming dense queries can be opened as a window instead: one
+A run of upcoming dense rows can be opened as a window instead: one
 product of their folded rows, a slice of the stream's prepared n x d'
 array (kernels.Prepared), gives the block of their kernels against every
 slot (capacity x window) and against one another, and one more the scores
-of all of them. Between `seek(r)` and `rescore()` a step runs on window
-row r: its predict reads the kept score and the block's column, which
-the projection and the insert then reuse, so no kernel is evaluated. An
-insert of row r writes the new slot's row of the block for the later
-rows, from the window's own kernels; an eviction writes nothing, since a
-freed slot's weight is 0 until an insert reuses it. `rescore` then
-re-scores the later rows from the block, in one product with the weights
-(in single mode, each row with its task's weights). Kernels are only ever
+of all of them. The set keeps no Query of the window: between `seek(r)`
+and `rescore()` a step runs on row r alone, so its predict reads the kept
+score, a projection or mtforg's update reads the block's column, and no
+kernel is evaluated. An insert writes the new slot's row of the block for
+the later rows, from the window's own kernels; an eviction writes
+nothing, as a freed slot's weight is 0 until an insert reuses it.
+`rescore` re-scores the later rows in one product with the weights (in
+single mode, each row with its task's weights). Kernels are only ever
 evaluated by kernels.dense_kernel_vector.
 """
 
@@ -94,12 +94,12 @@ class SlotStore:
         self.sq = np.zeros(cap)
         self.queries = [None] * cap
 
-    def block(self, query: Query, hi):
-        """Slots 0..hi-1 at the query's features, one column per slot: the
-        matrix `dense_kernel_vector` takes."""
-        if query.idx is not None:
+    def block(self, idx, hi):
+        """Slots 0..hi-1 at a query's features `idx` (a dense query's: None),
+        one column per slot: the matrix `dense_kernel_vector` takes."""
+        if idx is not None:
             # take copies whole rows but ran faster than X[rows, :hi]
-            return self.X.take(self.row.take(query.idx), axis=0)[:, :hi]
+            return self.X.take(self.row.take(idx), axis=0)[:, :hi]
         if not self.dense:
             self._densify()
         return self.X[:, :hi]
@@ -176,7 +176,8 @@ class ActiveSet:
     form a k x slots matrix (one prediction function per task).
 
     Every operation takes the instance as a kernels.Query (features folded
-    into the normalized kernel, and task), built once by `make_queries`.
+    into the normalized kernel, and task), cut by `Prepared.query` for the
+    step that uses it; within one step every call gets the same object.
     `keeps` is "inverse" to keep H^-1, or None to keep no B x B matrix."""
 
     def __init__(self, budget, dim, spec: KernelSpec, model: InteractionModel,
@@ -205,14 +206,9 @@ class ActiveSet:
         self._order = np.zeros(self._cap, dtype=np.intp)   # live slots, oldest first
         self._border = None     # (a, delta) of an insert not yet in _Hinv
         self._last = None       # the last predict's or projection's terms
-        # An open window: its queries with their tasks and
-        # their kernels with one another, the block of kernels by slot and
-        # window row, the rows' scores, and the row a step is on (None
-        # between steps).
-        self._window = self._window_tasks = self._own = None
-        self._block = None
-        self._scores = None
-        self._row = None
+        # An open window: its rows' tasks, their kernels with one another,
+        # the block by slot and row, the scores, and the row a step is on.
+        self._window_tasks = self._own = self._block = self._scores = self._row = None
 
     # -- views ---------------------------------------------------------
 
@@ -245,17 +241,19 @@ class ActiveSet:
         """
         hi = self._hi
         store = self._store
-        col = dense_kernel_vector(store.block(query, hi), store.sq[:hi], query.x,
+        col = dense_kernel_vector(store.block(query.idx, hi), store.sq[:hi], query.x,
                                   query.sq, self.spec)
         if self.kernel_mode == "multitask":
             col *= self.model.coupling(query.task, self._tasks[:hi])
         return col
 
     def column(self, query: Query):
-        """The query's slot column: the last predict's or projection's when
-        it was of this query, and no kernel call for an empty set."""
+        """The query's slot column: the last predict's or projection's of it,
+        the block's in a window's step, and no kernel call for an empty set."""
         if self._last and self._last[0] is query:
             return self._last[1]
+        if self._row is not None:       # a window's step: the block's column
+            return self._block[:self._hi, self._row]
         if self.n == 0:
             return np.zeros(self._hi)
         return self._slot_column(query)
@@ -290,10 +288,8 @@ class ActiveSet:
     def predict(self, query: Query) -> float:
         if self.n == 0:
             return 0.0
-        row = self._row
-        if row is not None and query is self._window[row]:
-            self._last = (query, self._block[:self._hi, row], None, None)
-            return float(self._scores[row])
+        if self._row is not None:   # a window's step: only row r steps (`seek`)
+            return self._scores.item(self._row)
         col = self._slot_column(query)
         self._last = (query, col, None, None)
         w = self._W if self.kernel_mode == "multitask" else self._W[query.task]
@@ -331,7 +327,7 @@ class ActiveSet:
         self.n = n + 1
         self._last = None
         row = self._row
-        if row is not None and query is self._window[row]:
+        if row is not None:
             # the new slot's kernels with the later window rows, from the
             # window's own; an evicted slot needs no write, as its weight
             # stays 0 until an insert reuses it
@@ -394,29 +390,29 @@ class ActiveSet:
         scores. `window` is the kernels.Prepared input of those rows, whose
         folded rows `X` go into the block as they are. Returns the scores,
         which the set keeps current: between `seek(r)` and `rescore()` a
-        step may run on query r, and only on it."""
-        queries, X, sq, tasks = window.queries, window.X, window.sq, window.tasks
-        cap = self._cap
-        store = self._store
+        step may run on row r, and only on it."""
+        X, sq, tasks = window.X, window.sq, window.tasks
+        cap, store = self._cap, self._store
         # every slot and the window's own queries, as one query block
         # against the window: one row each; the rows past the capacity,
         # the window's own kernels, are read only through self._own
-        block = dense_kernel_vector(X.T, sq, np.concatenate((store.block(queries[0], cap).T, X)),
+        block = dense_kernel_vector(X.T, sq, np.concatenate((store.block(None, cap).T, X)),
                                     np.concatenate((store.sq, sq)), self.spec)
         if self.kernel_mode == "multitask":
             block *= self.model.couplings(np.concatenate((self._tasks, tasks)), tasks)
         self._block = block
-        self._window, self._window_tasks, self._own = queries, tasks, block[cap:]
-        self._scores = np.empty(len(queries))
+        self._window_tasks, self._own = tasks, block[cap:]
+        self._scores = np.empty(len(tasks))
         self._row = None
         self._last = None
         self._score_rows(0)
         return self._scores
 
     def seek(self, row):
-        """Let a step run on the window's query `row`: its predict reads the
-        kept score and slot column, and an insert of it writes the new
-        slot's kernel values with the later rows into the block."""
+        """Let a step run on the window's row `row`, and no other query until
+        `rescore`: its predict reads the kept score, its column is the
+        block's, and an insert of it writes the new slot's kernel values with
+        the later rows into the block."""
         self._row = row
 
     def rescore(self):

@@ -51,9 +51,9 @@ def run_stream(stream: DatasetStream, config: LearnerConfig,
     """Drive one learner over a binarized stream; predictions are scored
     with the pre-update state of each step. The run reads the stream's
     prepared input for the config's kernel (`DatasetStream.prepared`),
-    which holds each example's query in the form (sparse or dense) the
-    stream's density favours, so a sparse stream is never densified; a
-    later run with the same kernel builds nothing.
+    which holds the rows in the form (sparse or dense) the stream's density
+    favours, so a sparse stream is never densified; a later run with the
+    same kernel builds nothing.
 
     One loop hands the learner each pass's rows, as views of the prepared
     input: dense rows in windows of up to WINDOW rows to `step_window`,
@@ -103,12 +103,13 @@ def run_stream(stream: DatasetStream, config: LearnerConfig,
 
 
 def _step_rows(learner, rows):
-    """`step_window` for sparse rows: one `step` per row, reading |S| only
-    after a mistake, the one step that can change it."""
+    """`step_window` for sparse rows: one `step` per row, on its Query cut
+    just then, reading |S| only after a mistake, the one step that can
+    change it."""
     scores, sizes = [], []
-    size = learner.active_size
-    for query, y in zip(rows.queries, rows.labels):
-        _, score, mistake, _ = learner.step(query, y)
+    size, query = learner.active_size, rows.query
+    for r, y in enumerate(rows.labels):
+        _, score, mistake, _ = learner.step(query(r), y)
         if mistake:
             size = learner.active_size
         scores.append(score)

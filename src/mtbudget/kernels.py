@@ -2,15 +2,16 @@
 
 All learners require the normalized form of the base kernel, so that
 every single-task instance has unit self-similarity; `make_queries` folds
-it into each query once, so a kernel column is one matrix-vector product.
-Its result, a stream's `Prepared` input for one kernel, is the only input
-of a run, and the stream keeps it (`DatasetStream.prepared`)."""
+it into every row once, so a kernel column is one matrix-vector product.
+Its result, a stream's `Prepared` input for one kernel, is arrays only and
+the only input of a run; the stream keeps it (`DatasetStream.prepared`).
+A step's `Query` is cut from it by `Prepared.query` and lives only while
+the step uses it."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -133,8 +134,8 @@ SPARSE_DENSITY = 0.1
 
 
 class Query(NamedTuple):
-    """One instance prepared for kernel columns, built once per example;
-    the only per-example input of the active set and the learners.
+    """Row r of a stream's prepared input as the core's per-example input,
+    cut by `Prepared.query` for the step that uses it.
 
     Sparse form: `idx` holds the zero-based ids of the nonzero features and
     `x` their values. Dense form: `idx` is None and `x` is the whole row.
@@ -148,25 +149,37 @@ class Query(NamedTuple):
 
 
 class Prepared(NamedTuple):
-    """A stream's rows prepared for one kernel by `make_queries`: the only
-    input of a run.
+    """A stream's rows prepared for one kernel by `make_queries`, arrays
+    only: the only input of a run.
 
-    `queries` holds one Query per row and `labels` the labels as ints. A
-    dense stream's queries are the rows of `X`, its n x d' array of folded
-    rows; a sparse stream has X None. `sq` holds the queries' squared norms
-    and `tasks` their zero-based tasks. `rows(i, j)` is the input of rows
-    i..j-1 with every array a view: for a dense stream, a window."""
+    A dense stream has `X`, its n x d' array of folded rows; a sparse one X
+    None and the CSR arrays of its folded rows, row r being
+    `idx[indptr[r]:indptr[r + 1]]` with its `values`. `sq`, `tasks` and
+    `labels` hold the rows' squared norms, zero-based tasks and int labels.
+    `rows(i, j)` is the input of rows i..j-1, every array a view."""
 
     spec: KernelSpec
-    queries: list
     X: Optional[np.ndarray]
+    indptr: Optional[np.ndarray]
+    idx: Optional[np.ndarray]
+    values: Optional[np.ndarray]
     sq: np.ndarray
     tasks: np.ndarray
     labels: list
 
+    def query(self, r):
+        """Row r's Query, of views: the one place a Query is built, with
+        tuple.__new__, in C; Query's own __new__ is Python code."""
+        sq, task = self.sq.item(r), self.tasks.item(r)
+        if self.X is not None:
+            return tuple.__new__(Query, (None, self.X[r], sq, task))
+        a, b = self.indptr.item(r), self.indptr.item(r + 1)
+        return tuple.__new__(Query, (self.idx[a:b], self.values[a:b], sq, task))
+
     def rows(self, i, j):
         X = None if self.X is None else self.X[i:j]
-        return Prepared(self.spec, self.queries[i:j], X, self.sq[i:j],
+        indptr = None if self.indptr is None else self.indptr[i:j + 1]
+        return Prepared(self.spec, X, indptr, self.idx, self.values, self.sq[i:j],
                         self.tasks[i:j], self.labels[i:j])
 
 
@@ -182,45 +195,45 @@ def folded_dim(dim, spec: KernelSpec):
 
 
 def make_queries(stream, spec: KernelSpec) -> Prepared:
-    """The Prepared input of a DatasetStream for `spec`: the queries of
-    every row, all in one form, each folded into a kernel
-    `require_normalized` accepts so that the kernel is a power of the plain
-    dot product: `linear:norm` stores x / |x|, `poly:p:c:norm`
+    """The Prepared input of a DatasetStream for `spec`, every row folded
+    into a kernel `require_normalized` accepts so that the kernel is a power
+    of the plain dot product: `linear:norm` stores x / |x|, `poly:p:c:norm`
     (x, sqrt(c)) / sqrt(|x|^2 + c), whose extra coordinate is feature id d
     and exists only when c > 0, and a gaussian keeps x.
 
-    The form follows the mean density of the rows: below SPARSE_DENSITY a
-    kernel column reads the stored vectors only at the query's nonzeros, which
-    costs O(B * nnz) instead of the dense row's O(B * d). Sparse queries are
-    views into one copy of the folded CSR arrays, dense ones rows of one n x d
-    array, all read-only. A zero-norm instance raises ZeroNormInstance, and a
-    raw self kernel whose square is not finite NumericalFailure, naming its
-    position and task. Runs read the input through `DatasetStream.prepared`,
-    which calls this once per stream and kernel.
+    Below a mean row density of SPARSE_DENSITY the rows stay sparse, in one
+    copy of the folded CSR arrays, so a kernel column costs O(B * nnz), not
+    O(B * d); otherwise they form one n x d' array. Both are read-only, and
+    no per-row object is built. A zero-norm instance raises ZeroNormInstance,
+    and a raw self kernel whose square is not finite (for the gaussian,
+    |x|^2) NumericalFailure, naming its position and task. Runs read the
+    input through `DatasetStream.prepared`, once per stream and kernel.
     """
     require_normalized(spec)
     n, dim, indptr = len(stream), stream.d, stream.indptr
     sparse = stream.ids.size < SPARSE_DENSITY * dim * n
     row_of = np.repeat(np.arange(n), np.diff(indptr))
-    idx, values, norm = stream.ids - 1, stream.values, None
-    sq = np.bincount(row_of, values * values, minlength=n)
-    if spec.kind != "gaussian":
-        offset = spec.offset if spec.kind == "polynomial" else 0.0
-        with np.errstate(over="ignore"):
-            raw = sq if spec.kind == "linear" else (sq + offset) ** spec.degree
-            bad = np.flatnonzero((raw <= 0.0) | ~np.isfinite(raw * raw))
-        if bad.size:
-            row = bad[0]
-            where = "example %d (task %d)" % (row + 1, stream.tasks[row])
-            if raw[row] <= 0.0:
-                raise ZeroNormInstance("%s has zero norm, which a normalized kernel "
-                                       "cannot scale" % where)
-            raise NumericalFailure("%s: kernel %s gives the raw self kernel %r, whose "
-                                   "square is not finite"
-                                   % (where, spec.to_string(), float(raw[row])))
-        norm = np.sqrt(sq + offset)
-        sq = np.ones(n)
+    idx, values, X, norm = stream.ids - 1, stream.values, None, None
+    offset = spec.offset if spec.kind == "polynomial" else 0.0
+    gaussian = spec.kind == "gaussian"
+    with np.errstate(over="ignore"):
+        sq = np.bincount(row_of, values * values, minlength=n)
+        raw = (sq + offset) ** spec.degree if spec.kind == "polynomial" else sq
+        bad = np.flatnonzero(~np.isfinite(sq) if gaussian
+                             else (raw <= 0.0) | ~np.isfinite(raw * raw))
+    if bad.size:
+        row = bad[0]
+        where = "example %d (task %d)" % (row + 1, stream.tasks[row])
+        if raw[row] <= 0.0:
+            raise ZeroNormInstance("%s has zero norm, which a normalized kernel "
+                                   "cannot scale" % where)
+        what = ("squared norm %r, which is" if gaussian
+                else "raw self kernel %r, whose square is") % float(raw[row])
+        raise NumericalFailure("%s: kernel %s gives the %s not finite"
+                               % (where, spec.to_string(), what))
     # Both forms hold x / norm and sqrt(offset) / norm, so they agree bitwise.
+    if not gaussian:
+        norm, sq = np.sqrt(sq + offset), np.ones(n)
     if sparse:
         if norm is not None:
             values = values / norm[row_of]
@@ -228,25 +241,18 @@ def make_queries(stream, spec: KernelSpec) -> Prepared:
                 idx = np.insert(idx, indptr[1:], dim)
                 values = np.insert(values, indptr[1:], math.sqrt(offset) / norm)
                 indptr = indptr + np.arange(n + 1)
-        idx.flags.writeable = values.flags.writeable = False
-        bounds = indptr.tolist()
-        xs = (values[a:b] for a, b in zip(bounds, bounds[1:]))
-        idxs = (idx[a:b] for a, b in zip(bounds, bounds[1:]))
+        idx.flags.writeable = values.flags.writeable = indptr.flags.writeable = False
     else:
         X = np.zeros((n, folded_dim(dim, spec)))
         X[row_of, idx] = values
-        del row_of, idx     # so that the n queries below are built without them
         if norm is not None:
             X[:, dim:] = math.sqrt(offset)     # the extra column, if any
             X /= norm[:, None]
         X.flags.writeable = False
-        xs, idxs = X, repeat(None)
+        indptr = idx = values = None
     tasks = stream.tasks - 1    # the one place a task id becomes an index
-    # tuple.__new__ builds each Query in C; Query's own __new__ is Python code
-    queries = list(map(tuple.__new__, repeat(Query),
-                       zip(idxs, xs, sq.tolist(), tasks.tolist())))
     sq.flags.writeable = tasks.flags.writeable = False
-    return Prepared(spec, queries, None if sparse else X, sq, tasks,
+    return Prepared(spec, X, indptr, idx, values, sq, tasks,
                     stream.labels.astype(np.int64).tolist())
 
 

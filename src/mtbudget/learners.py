@@ -2,15 +2,15 @@
 and the mistake-bound calculators.
 
 Every learner exposes `step(query, label) -> StepOutcome`, where the
-query is the example's kernels.Query (built once per example by
-`make_queries`) and the label is -1 or +1: predict with the current
-expansion, then update only when the signed score is a mistake
-(y * score <= 0). The emitted prediction at score exactly 0 is +1 but
-the update still fires. Every learner also exposes `mistakes` and
-`active_size`, and takes a window of dense queries at once through
-`step_window(window)`, which calls `step` only at the window's mistakes,
-all found by one scan (`_scan_window`), and returns the score each row
-predicted from and |S| after each row.
+query is the example's kernels.Query (cut from the run's prepared input
+by `Prepared.query` for this step) and the label is -1 or +1: predict
+with the current expansion, then update only when the signed score is a
+mistake (y * score <= 0). The emitted prediction at score exactly 0 is +1
+but the update still fires. Every learner also exposes `mistakes` and
+`active_size`, and takes a window of dense rows at once through
+`step_window(window)`, which cuts a Query and calls `step` only at the
+window's mistakes, all found by one scan (`_scan_window`), and returns
+the score each row predicted from and |S| after each row.
 """
 
 from __future__ import annotations
@@ -74,11 +74,10 @@ def _scan_window(learner, scores, labels, mistake):
     keeps the later scores current and returns |S| after the step. Returns
     |S| after each row."""
     first = size = learner.active_size
-    # each row's change of |S|, summed at the end: a slice write at every
-    # change, and reading |S| through the property, cost the battery and
-    # mtrbp 2-4% on a 10-task stream at a 5% budget
-    grew = np.zeros(len(scores), dtype=np.int64)
-    row = 0
+    # |S|'s change by row, made at the first change and summed at the end:
+    # a slice write per change, or |S| read through the property, cost the
+    # battery and mtrbp 2-4% on a 10-task stream at a 5% budget
+    grew, row = None, 0
     while True:
         # the first mistake from `row` on; at a mistake rate near 30% a
         # plain loop is cheaper than array operations
@@ -86,9 +85,11 @@ def _scan_window(learner, scores, labels, mistake):
             if labels[row] * score <= 0:
                 break
         else:
-            return first + grew.cumsum()
+            return np.full(len(scores), first) if grew is None else first + grew.cumsum()
         now = mistake(row)
         if now != size:     # at a full budget it seldom is
+            if grew is None:
+                grew = np.zeros(len(scores), dtype=np.int64)
             grew[row], size = now - size, now
         row += 1
 
@@ -127,14 +128,13 @@ class _KernelLearner:
         and |S| after each row. The active set scores the window as one
         kernel block and keeps it current, so only a mistake calls `step`,
         with the row's Query, which reads its score and column there."""
-        s = self.active_set
-        queries, labels = window.queries, window.labels
+        s, query, labels = self.active_set, window.query, window.labels
         scores = s.open_window(window)
         def mistake(row):
             s.seek(row)
-            self.step(queries[row], labels[row])
+            self.step(query(row), labels[row])
             s.rescore()
-            return len(s)
+            return s.n
         return scores, _scan_window(self, scores, labels, mistake)
 
     def _update(self, query, y):
@@ -150,7 +150,7 @@ class MTBudgetProjectron(_KernelLearner):
         if resid <= self.config.eta:
             s.weights[:] += y * alphas
             return "weight_update_projection"
-        if len(s) < s.budget:
+        if s.n < s.budget:
             s.insert(query, y)
             return "insert"
         s.insert(query, y, force=True)
@@ -177,7 +177,7 @@ class MTBudgetProjectron2(_KernelLearner):
         if resid <= self.config.eta:
             s.weights[:] += np.outer(col, alphas)
             return "weight_update_projection"
-        if len(s) < s.budget:
+        if s.n < s.budget:
             s.insert(query, col)
             return "insert"
         s.insert(query, col, force=True)
@@ -202,10 +202,10 @@ class MTRandomizedBudgetPerceptron(_KernelLearner):
 
     def _update(self, query, y):
         s = self.active_set
-        if len(s) < s.budget:
+        if s.n < s.budget:
             s.insert(query, y)
             return "insert"
-        r = int(self.rng.integers(len(s)))
+        r = int(self.rng.integers(s.n))
         s.evict(r)
         s.insert(query, y)
         return "insert_evict"
@@ -231,7 +231,7 @@ class MTForgetron(_KernelLearner):
     def _update(self, query, y):
         s = self.active_set
         col = s.column(query)
-        full = len(s) >= s.budget
+        full = s.n >= s.budget
         if full:    # the evictee's weight and pre-update score
             oldest = s.order[0]
             beta_r, f_r = float(s.weights[oldest]), float(self.scores[oldest])
@@ -268,18 +268,16 @@ class PerceptronBattery:
         self._stores = [SlotStore(folded_dim(dim, self.spec), 16) for _ in range(self.k)]
         self._w = [np.zeros(16) for _ in range(self.k)]
         self._count = [0] * self.k
-        self._kept = (None, 0.0)        # (query, score) of a window's mistake
+        self._kept = None       # the kept score of a window's mistake
         self.mistakes = 0
 
     def step(self, query: Query, y: int) -> StepOutcome:
         t = query.task
         n = self._count[t]
-        score = 0.0
-        if self._kept[0] is query:      # a window's mistake: the score is kept
-            score = self._kept[1]
-        elif n:
+        score = 0.0 if self._kept is None else self._kept   # kept: a window's mistake
+        if n and self._kept is None:
             store = self._stores[t]
-            base = dense_kernel_vector(store.block(query, n), store.sq[:n], query.x,
+            base = dense_kernel_vector(store.block(query.idx, n), store.sq[:n], query.x,
                                        query.sq, self.spec)
             score = float(np.dot(self._w[t][:n], base))
         mistake = y * score <= 0
@@ -296,8 +294,7 @@ class PerceptronBattery:
         independent (M = I) and its weights never change after an insert,
         so a mistake at row r only adds y_r times row r's kernels with the
         later rows of its task to their scores."""
-        queries, X, sq, tasks, labels = (window.queries, window.X, window.sq,
-                                         window.tasks, window.labels)
+        X, sq, tasks, labels = window.X, window.sq, window.tasks, window.labels
         # the window's kernels with one another, within tasks, signed by row
         own = dense_kernel_vector(X.T, sq, X, sq, self.spec)
         own *= (tasks[:, None] == tasks) * np.array(labels, dtype=float)[:, None]
@@ -309,13 +306,13 @@ class PerceptronBattery:
             t = int(by_task[a])
             n, store = self._count[t], self._stores[t]
             if n:
-                base = dense_kernel_vector(store.block(queries[0], n), store.sq[:n],
+                base = dense_kernel_vector(store.block(None, n), store.sq[:n],
                                            Xs[a:b], sqs[a:b], self.spec)
                 scores[order[a:b]] = base @ self._w[t][:n]
         def mistake(row):
-            self._kept = (queries[row], float(scores[row]))
-            self.step(queries[row], labels[row])
-            self._kept = (None, 0.0)
+            self._kept = scores.item(row)
+            self.step(window.query(row), labels[row])
+            self._kept = None
             scores[row + 1:] += own[row, row + 1:]
             return self.mistakes
         return scores, _scan_window(self, scores, labels, mistake)

@@ -1,8 +1,8 @@
 """Helpers shared by the test modules.
 
 Learners and the active set take `kernels.Query` objects only. `queries_of`
-builds the queries of a list of instances the way `run_stream` builds a
-stream's, from a stream of them; `labelled` pairs them with their labels
+cuts the queries of a list of instances the way a run cuts a stream's,
+from the prepared input of a stream of them; `labelled` pairs them with their labels
 for a test to step a learner on; `dense_of` gives a sparse query's dense form;
 `instance_of` turns a stored query back into the instance the brute-force
 `mt_kernel` / `base_kernel` oracles take. Those evaluate one pair at a time,
@@ -16,7 +16,9 @@ and `gram_inv` helpers read it in entry order (oldest first)
 through its `order`, as the oracles index it.
 `interaction_of` builds a graph's I + L, and `components_of` its connected
 components, from its edge list alone.
-`parse_by_line` is the line-by-line reference of `parse_dataset`.
+`parse_by_line` is the line-by-line reference of `parse_dataset`, and
+`comparator_terms` the plain-loop reference of a mistake bound's loss,
+comparator norm and shift.
 """
 
 import math
@@ -33,8 +35,13 @@ def queries_of(instances, dim, spec):
     """The instances' queries, built by one `make_queries` call on a stream
     of them, as `run_stream` builds a stream's."""
     k = max((inst.task for inst in instances), default=1)
-    return make_queries(DatasetStream(list(instances), np.ones(len(instances)), k, dim),
-                        spec).queries
+    return queries_in(make_queries(DatasetStream(list(instances), np.ones(len(instances)),
+                                                 k, dim), spec))
+
+
+def queries_in(prepared):
+    """The Query of every row of a Prepared input, in row order."""
+    return [prepared.query(r) for r in range(len(prepared.labels))]
 
 
 def labelled(instances, labels, dim, spec):
@@ -187,6 +194,44 @@ def components_of(g):
                     queue.append(u)
         count += 1
     return labels
+
+
+def comparator_terms(stream, refs, graph, margin):
+    """(L, U, S) of the comparator the reference sequence divided by
+    `margin` defines, by plain loops over the raw rows and the edge list.
+
+    U is the largest comparator norm over the sequence, sqrt(sum_i |u_i|^2
+    + sum_{(i,j) in E} |u_i - u_j|^2); S sums that norm over the
+    differences of consecutive comparators; L is the hinge loss
+    max(0, 1 - y <u_task, x / |x|>) of every row, with the reference in
+    force at its step (a shift at step t applies from row t on)."""
+    seq = [[[v / margin for v in row] for row in refs.weights.tolist()]]
+    starts = [1]
+    for step, w in refs.shifts:
+        seq.append([[v / margin for v in row] for row in w.tolist()])
+        starts.append(step)
+    edges = graph.edges.tolist()
+
+    def norm(u):
+        total = sum(v * v for row in u for v in row)
+        for i, j in edges:
+            total += sum((a - b) ** 2 for a, b in zip(u[i - 1], u[j - 1]))
+        return math.sqrt(total)
+
+    U = max(norm(u) for u in seq)
+    S = sum(norm([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(cur, prev)])
+            for prev, cur in zip(seq, seq[1:]))
+    bounds, ids, values = stream.indptr.tolist(), stream.ids.tolist(), stream.values.tolist()
+    L, current = 0.0, 0
+    for r, (task, y) in enumerate(zip(stream.tasks.tolist(), stream.labels.tolist())):
+        while current + 1 < len(seq) and starts[current + 1] <= r + 1:
+            current += 1
+        u = seq[current][task - 1]
+        row = range(bounds[r], bounds[r + 1])
+        size = math.sqrt(sum(values[p] * values[p] for p in row))
+        score = sum(u[ids[p] - 1] * values[p] for p in row) / size
+        L += max(0.0, 1.0 - y * score)
+    return L, U, S
 
 
 def stored_vectors(store):

@@ -2,7 +2,7 @@
 
 Each criterion is exercised end to end at its stated tolerance; nothing in
 here may depend on the other test modules (the helpers of `support.py` build
-queries only).
+queries and the plain-loop oracles only).
 """
 
 import json
@@ -17,15 +17,15 @@ import numpy as np
 import pytest
 
 import mtbudget
-from mtbudget.data import generate_synthetic, shift_term
+from mtbudget.data import ReferenceTaskSet, generate_synthetic, shift_term
 from mtbudget.graph import (TaskGraph, build_interaction_model,
                             verify_proposition_3_1)
 from mtbudget.harness import baseline_active_size, run_stream
 from mtbudget.kernels import KernelSpec, MultitaskInstance, SparseVector
 from mtbudget.learners import (DEFICIT_FRAC, LearnerConfig, compute_phi,
                                make_learner, mtforg_bound, mtrbp_bound)
-from support import (entry_queries, gram_inv, in_entry_order, instance_of, inverse_of,
-                     labelled, mt_kernel, query_of)
+from support import (comparator_terms, entry_queries, gram_inv, in_entry_order, instance_of,
+                     inverse_of, labelled, mt_kernel, query_of)
 
 LINEAR = KernelSpec("linear", normalize=True)
 
@@ -291,6 +291,61 @@ class TestCriterion7MistakeBounds:
         assert avg_m <= 1.1 * avg_b
         report(7, "mtrbp: avg %.1f mistakes <= 1.1 x avg bound %.1f over 50 seeds"
                % (avg_m, avg_b))
+
+    # Where the budget binds: noisy streams, long enough for the mistakes to
+    # pass B, so the runs evict (and mtforg shrinks) and L > 0. The loss L,
+    # the comparator norm U and the shift S come from the plain-loop oracle.
+    SHIFTS = [(5000, 0.3), (10000, 0.3), (15000, 0.3)]
+
+    def test_shift_term_matches_the_oracle(self):
+        graph = TaskGraph.complete(3)
+        stream, refs = generate_synthetic(3, 10, 600, 0.9, 0.02, seed=1,
+                                          shift_schedule=[(150, 0.3), (300, 0.3), (450, 0.3)],
+                                          min_margin=self.MARGIN)
+        scaled = ReferenceTaskSet(refs.weights / self.MARGIN,
+                                  [(t, w / self.MARGIN) for t, w in refs.shifts])
+        total, traces = shift_term(scaled, graph)
+        _, U, S = comparator_terms(stream, refs, graph, self.MARGIN)
+        assert len(traces) == 4 and S > 0.0
+        assert total == pytest.approx(S, rel=1e-12, abs=0.0)
+        assert math.sqrt(max(traces)) == pytest.approx(U, rel=1e-12, abs=0.0)
+
+    def test_mtforg_bound_holds_where_the_budget_binds(self):
+        budget, n = 2200, 40_000
+        graph = TaskGraph.complete(3)
+        cG = build_interaction_model(graph).cG
+        stream, refs = generate_synthetic(3, 10, n, 0.9, 0.05, seed=0,
+                                          min_margin=self.MARGIN)
+        L, U, _ = comparator_terms(stream, refs, graph, self.MARGIN)
+        cap = (1.0 / (4.0 * cG)) * math.sqrt((budget + 1) / math.log(budget + 1))
+        assert U <= cap     # comparator admissible for the bound
+        metrics = run_stream(stream, LearnerConfig("mtforg", graph, budget=budget,
+                                                   kernel=LINEAR))
+        bound = mtforg_bound(L, budget)
+        assert budget < metrics.mistakes <= bound < n
+        report(7, "mtforg at B=%d: %d mistakes <= bound %.1f < n=%d (L=%.1f, U=%.2f <= %.2f)"
+               % (budget, metrics.mistakes, bound, n, L, U, cap))
+
+    def test_mtrbp_bound_holds_on_average_where_the_budget_binds(self):
+        budget, n, seeds = 300, 20_000, 5
+        graph = TaskGraph.complete(3)
+        cG = build_interaction_model(graph).cG
+        mistakes, bounds = [], []
+        for seed in range(seeds):
+            stream, refs = generate_synthetic(3, 10, n, 0.9, 0.02, shift_schedule=self.SHIFTS,
+                                              seed=seed, min_margin=self.MARGIN)
+            L, U, S = comparator_terms(stream, refs, graph, self.MARGIN)
+            eps = 2.0 * cG * U / math.sqrt(budget)
+            assert 0.0 < eps < 1.0 and S > 0.0     # comparator admissible, shifting
+            bounds.append(mtrbp_bound(L, cG, S, budget, eps))
+            metrics = run_stream(stream, LearnerConfig("mtrbp", graph, budget=budget,
+                                                       kernel=LINEAR, seed=seed))
+            assert metrics.mistakes > budget
+            mistakes.append(metrics.mistakes)
+        avg_m, avg_b = float(np.mean(mistakes)), float(np.mean(bounds))
+        assert avg_m <= avg_b < n
+        report(7, "mtrbp at B=%d: avg %.1f mistakes <= avg bound %.1f < n=%d over %d seeds"
+               % (budget, avg_m, avg_b, n, seeds))
 
 
 ADVANTAGE_FRACS = (0.25, 0.10, 0.05)

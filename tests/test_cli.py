@@ -90,6 +90,19 @@ class TestRun:
         assert code == 1
         assert "example 1 (task 1)" in capsys.readouterr().err
 
+    def test_overflowing_gaussian_row_fails_loudly(self, capsys, tmp_path):
+        # |x|^2 of the second row overflows; the gaussian once scored it NaN
+        # and exited 0, after numpy's overflow warning
+        p = tmp_path / "huge.mtsvm"
+        p.write_text("1 +1 1:0.5 2:1.0\n"
+                     "2 -1 1:1e200 3:1.0\n"
+                     "1 -1 2:0.3 3:1.0\n")
+        code = main(["run", "--algo", "mtrbp", "--graph", "complete", "--budget", "2",
+                     "--kernel", "gauss:0.5", "--data", str(p)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: example 2 (task 2): kernel gauss:0.5 gives the squared norm inf")
+
     @pytest.mark.parametrize("eta", ["inf", "nan", "-0.5"])
     def test_bad_eta_fails_cleanly(self, capsys, eta):
         # an infinite eta never inserts and a NaN one never projects

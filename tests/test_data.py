@@ -16,7 +16,7 @@ from mtbudget.graph import TaskGraph
 from mtbudget.harness import run_stream
 from mtbudget.kernels import KernelSpec, MultitaskInstance, SparseVector, make_queries
 from mtbudget.learners import LearnerConfig
-from support import interaction_of, parse_by_line
+from support import interaction_of, parse_by_line, queries_in
 
 
 class TestParse:
@@ -203,7 +203,7 @@ class TestStreamArrays:
         for d in (3, 300):       # dense, then sparse queries
             wide = DatasetStream((stream.indptr, stream.ids, stream.values,
                                   stream.tasks), stream.labels, stream.k, d)
-            for q in make_queries(wide, KernelSpec("linear", normalize=True)).queries:
+            for q in queries_in(make_queries(wide, KernelSpec("linear", normalize=True))):
                 assert (q.idx is None) == (d == 3)
                 with pytest.raises(ValueError):
                     q.x[0] = 0.0

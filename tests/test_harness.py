@@ -14,7 +14,7 @@ from mtbudget.harness import (StreamMetrics, baseline_active_size,
                               resolve_budget, run_stream)
 from mtbudget.kernels import KernelSpec
 from mtbudget.learners import ALGORITHMS, LearnerConfig, make_learner
-from support import labelled
+from support import labelled, queries_in
 
 SPEC = KernelSpec("linear", normalize=True)
 
@@ -121,7 +121,7 @@ def test_tallies_match_a_naive_recount(algo, sparse, epochs, n):
     learner = make_learner(cfg, stream.d)
     prepared = kernels.make_queries(stream, SPEC)
     assert (prepared.X is None) == sparse
-    examples = list(zip(prepared.queries, stream.labels))
+    examples = list(zip(queries_in(prepared), stream.labels))
     total = n * epochs
     every = max(1, total // 100)
     per_task = [[0, 0, 0, 0] for _ in range(3)]
@@ -342,5 +342,5 @@ def test_no_row_objects_on_the_run_path(tmp_path, monkeypatch, d, nnz):
         run_stream(stream, LearnerConfig(algo, TaskGraph.complete(3), budget,
                                          kernel=SPEC))
     assert built == []
-    assert (kernels.make_queries(stream, SPEC).queries[0].idx is None) == (d == nnz)
+    assert (kernels.make_queries(stream, SPEC).query(0).idx is None) == (d == nnz)
     assert len(stream.instances) == 240 and len(built) == 480   # the counter counts

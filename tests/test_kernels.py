@@ -1,4 +1,6 @@
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from mtbudget.errors import NumericalFailure, ZeroNormInstance
 from mtbudget.graph import TaskGraph, build_interaction_model
 from mtbudget.kernels import (KernelSpec, MultitaskInstance, Query, SparseVector,
                               dense_kernel_vector, make_queries)
-from support import base_kernel, dense_of, inverse_of, mt_kernel, queries_of, sparse_dot
+from support import (base_kernel, dense_of, inverse_of, mt_kernel, queries_in, queries_of,
+                     sparse_dot)
 
 
 def sv(*pairs):
@@ -186,17 +189,17 @@ class TestQueryConstruction:
     @pytest.mark.parametrize("text", ["linear:norm", "poly:2:1:norm", "gauss:0.7"])
     @pytest.mark.parametrize("d", [5, 400])     # dense queries, then sparse ones
     def test_queries_are_whole_query_tuples(self, text, d):
-        """`make_queries` builds its Querys without the class constructor,
+        """`Prepared.query` builds its Querys without the class constructor,
         which checks the field count; each must still be the tuple that
         constructor builds."""
         rng = np.random.default_rng(4)
         rows = [MultitaskInstance(SparseVector(np.sort(rng.choice(d, 3, replace=False)) + 1,
                                                rng.normal(size=3)), t)
                 for t in (1, 2, 2, 3)]
-        queries = make_queries(DatasetStream(rows, np.ones(4), 3, d),
-                               KernelSpec.parse(text)).queries
-        assert len(queries) == 4
-        for q, inst in zip(queries, rows):
+        prepared = make_queries(DatasetStream(rows, np.ones(4), 3, d), KernelSpec.parse(text))
+        assert len(prepared.labels) == 4
+        for r, inst in enumerate(rows):
+            q = prepared.query(r)
             assert type(q) is Query and len(q) == len(Query._fields) == 4
             assert q == Query(q.idx, q.x, q.sq, q.task) == Query(*q)
             assert (q.idx is None) == (d == 5) and q.task == inst.task - 1
@@ -214,8 +217,48 @@ class TestQueryConstruction:
         prepared = make_queries(stream, KernelSpec.parse("linear:norm"))
         assert (prepared.X is None) == (d == 2000)
         assert np.array_equal(prepared.tasks, stream.tasks - 1)
-        assert all(q.task == prepared.tasks[r] for r, q in enumerate(prepared.queries))
-        assert {q.task for q in prepared.queries} == set(range(5))
+        queries = queries_in(prepared)
+        assert all(q.task == prepared.tasks[r] for r, q in enumerate(queries))
+        assert {q.task for q in queries} == set(range(5))
+
+    @pytest.mark.parametrize("text", ["linear:norm", "poly:2:1:norm", "gauss:0.5"])
+    @pytest.mark.parametrize("d", [6, 400])     # dense queries, then sparse ones
+    def test_query_is_the_row_folded_by_hand(self, text, d):
+        """`Prepared.query(r)` is, bit for bit, row r folded one value at a
+        time from its instance: x / |x|, (x, sqrt(c)) / sqrt(|x|^2 + c) with
+        the offset at feature id d, or the gaussian's raw x and |x|^2."""
+        spec = KernelSpec.parse(text)
+        c = spec.offset if spec.kind == "polynomial" else 0.0
+        rng = np.random.default_rng(9)
+        rows = [MultitaskInstance(SparseVector(np.sort(rng.choice(d, 4, replace=False)) + 1,
+                                               rng.normal(size=4)), t)
+                for t in (1, 3, 2, 2, 1)]
+        prepared = make_queries(DatasetStream(rows, np.ones(5), 3, d), spec)
+        assert (prepared.X is None) == (d == 400)
+        for r, inst in enumerate(rows):
+            ids, vals = inst.x.indices.tolist(), inst.x.values.tolist()
+            sq = 0.0
+            for v in vals:
+                sq += v * v
+            if spec.kind != "gaussian":
+                norm = math.sqrt(sq + c)
+                vals, sq = [v / norm for v in vals], 1.0
+                if c:
+                    ids, vals = ids + [d + 1], vals + [math.sqrt(c) / norm]
+            idx = np.array(ids, dtype=np.int64) - 1
+            if d == 6:
+                x = np.zeros(d + (c > 0))
+                x[idx], idx = vals, None
+            else:
+                x = np.array(vals)
+            q = prepared.query(r)
+            assert type(q) is Query and type(q.sq) is float and type(q.task) is int
+            assert (q.sq, q.task) == (sq, inst.task - 1)
+            assert q.x.dtype == x.dtype and q.x.tobytes() == x.tobytes()
+            if idx is None:
+                assert q.idx is None
+            else:
+                assert q.idx.dtype == idx.dtype and q.idx.tobytes() == idx.tobytes()
 
 
 class TestSelfKernelRange:
@@ -237,11 +280,27 @@ class TestSelfKernelRange:
         with pytest.raises(NumericalFailure, match=name):
             make_queries(stream, KernelSpec.parse(text))
 
+    @pytest.mark.parametrize("text", ["linear:norm", "poly:2:1:norm", "gauss:0.5"])
+    @pytest.mark.parametrize("d", [10, 300])    # dense form, then sparse
+    def test_overflowing_square_norm_names_example(self, text, d):
+        """A feature value of 1e200 overflows |x|^2 for every kernel kind:
+        an error naming the example and its task, and no overflow warning
+        first. The gaussian, which reads |x|^2 itself, once returned a NaN
+        score from such a row."""
+        rows = [MultitaskInstance(sv((1, 0.5), (3, 2.0)), 1),
+                MultitaskInstance(sv((2, 1.0), (4, 1e200)), 2)]
+        stream = DatasetStream(rows, np.ones(2), 2, d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure,
+                               match=r"example 2 \(task 2\): kernel %s .*inf" % text):
+                make_queries(stream, KernelSpec.parse(text))
+
     def test_large_finite_degree_still_runs(self):
         stream = DatasetStream([MultitaskInstance(sv((1, 1.0), (2, 1.0)), 1)],
                                np.ones(1), 1, 2)
         spec = KernelSpec.parse("poly:300:1:norm")
-        (q,) = make_queries(stream, spec).queries
+        (q,) = queries_in(make_queries(stream, spec))
         # (3 ** 300) ** 2 is finite: the query folds to (1, 1, 1) / sqrt(3)
         assert np.allclose(q.x, np.full(3, 3.0 ** -0.5), rtol=0, atol=1e-15)
         self_kernel = dense_kernel_vector(q.x[:, None], np.ones(1), q.x, q.sq, spec)

@@ -391,8 +391,11 @@ def test_inverse_holds_over_a_saturated_run(algo, size, bound):
     for i in range(0, len(stream), 64):
         learner.step_window(prepared.rows(i, i + 64))
     s = learner.active_set
-    row_of = {id(q): r for r, q in enumerate(prepared.queries)}
-    rows = [row_of[id(q)] for q in entry_queries(s)]
+    # a stored query's x is its row's view into the prepared array
+    queries = entry_queries(s)
+    assert all(q.x.base is prepared.X for q in queries)
+    rows = [(q.x.ctypes.data - prepared.X.ctypes.data) // prepared.X.strides[0]
+            for q in queries]
     instances = stream.instances      # built anew on each read
     stored = [instances[r] for r in rows]
     X = np.array([inst.x.to_dense(d) for inst in stored])

@@ -20,7 +20,7 @@ from mtbudget.graph import TaskGraph, build_interaction_model
 from mtbudget.kernels import KernelSpec, MultitaskInstance, SparseVector, make_queries
 from mtbudget.learners import ALGORITHMS, LearnerConfig, make_learner
 from support import (base_kernel, dense_of, entry_queries, entry_weights, in_entry_order,
-                     instance_of, inverse_of, kernel_column, mt_kernel, queries_of,
+                     instance_of, inverse_of, kernel_column, mt_kernel, queries_in, queries_of,
                      query_of, stored_vectors)
 
 D = 5000
@@ -215,7 +215,7 @@ def test_harness_matches_stepping_without_queries(algo, monkeypatch):
     stream = sparse_stream()
     config = LearnerConfig(algo, TaskGraph.complete(K), budget=12, eta=0.05,
                            kernel=SPECS["linear"], seed=3)
-    assert make_queries(stream, config.kernel).queries[0].idx is not None
+    assert make_queries(stream, config.kernel).query(0).idx is not None
 
     seen = []
     real_make_learner = harness.make_learner
@@ -312,7 +312,7 @@ class TestCompactRows:
                                 np.arange(n) % K + 1), np.ones(n), K, self.DIM)
         s = ActiveSet(16, self.DIM, SPECS["linear"], MODEL, keeps=None)
         rebuilds, X = 0, None
-        for step, q in enumerate(make_queries(stream, SPECS["linear"]).queries, start=1):
+        for step, q in enumerate(queries_in(make_queries(stream, SPECS["linear"])), start=1):
             full = len(s) >= s.budget
             s.insert(q, 1.0, force=full)
             if full:

@@ -2,13 +2,15 @@
 reads the interaction model's private M, and kernels.py, which evaluates
 every kernel column, does not depend on graph.py. active_set.py evaluates
 no kernel itself, so its window block and its per-example column both go
-through `dense_kernel_vector`."""
+through `dense_kernel_vector`. A Query is built in one place only,
+`Prepared.query`."""
 
 import ast
 import pathlib
 
 import mtbudget
 from mtbudget.graph import InteractionModel, TaskGraph, build_interaction_model
+from mtbudget.kernels import Prepared
 
 SRC = pathlib.Path(mtbudget.__file__).parent
 
@@ -71,3 +73,30 @@ def test_kernels_does_not_import_graph():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not {".graph", "mtbudget.graph"} & imported
+
+
+def scoped(tree, scope=()):
+    """Every node under `tree` with the names of the classes and functions
+    that enclose it."""
+    for child in ast.iter_child_nodes(tree):
+        inner = scope + (child.name,) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+        yield child, inner
+        yield from scoped(child, inner)
+
+
+def test_query_is_built_only_in_prepared_query():
+    """A Query exists only while a step uses it: `Prepared.query` is the one
+    call site that builds one (by `Query(...)`, `Query._make` or
+    `tuple.__new__(Query, ...)`), and the prepared input holds no queries;
+    the only `.queries` left is a SlotStore's per-slot list."""
+    sites = sorted({(module, ".".join(scope))
+                    for module, tree in modules().items() for node, scope in scoped(tree)
+                    if isinstance(node, ast.Call)
+                    and any(isinstance(n, ast.Name) and n.id == "Query"
+                            for n in (node.func, getattr(node.func, "value", None), *node.args))})
+    assert sites == [("kernels.py", "Prepared.query")]
+    assert "queries" not in Prepared._fields
+    readers = {(module, scope[0]) for module, tree in modules().items()
+               for node, scope in scoped(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "queries"}
+    assert readers == {("active_set.py", "SlotStore")}

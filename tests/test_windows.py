@@ -23,6 +23,7 @@ from mtbudget.data import DatasetStream, generate_synthetic
 from mtbudget.graph import TaskGraph
 from mtbudget.kernels import KernelSpec, make_queries
 from mtbudget.learners import LearnerConfig, make_learner
+from support import queries_in
 
 KERNELS = ["linear:norm", "poly:2:1:norm", "gauss:0.5"]
 GRAPHS = {"complete": TaskGraph.complete(3), "edgeless": TaskGraph.edgeless(3)}
@@ -105,7 +106,7 @@ def stepped_run(stream, config, epochs):
     """The outputs of `run_stream`, recounted from one `step` per example
     of a fresh learner: per-task counts, trajectory, scores and the learner."""
     learner = make_learner(config, stream.d)
-    queries = make_queries(stream, config.kernel).queries
+    queries = queries_in(make_queries(stream, config.kernel))
     labels = stream.labels.astype(np.int64).tolist()
     total = len(queries) * epochs
     every = max(1, total // 100)
