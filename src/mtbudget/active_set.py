@@ -40,14 +40,17 @@ product of their folded rows, a slice of the stream's prepared n x d'
 array (kernels.Prepared), gives the block of their kernels against every
 slot (capacity x window) and against one another, and one more the scores
 of all of them. The set keeps no Query of the window: between `seek(r)`
-and `rescore()` a step runs on row r alone, so its predict reads the kept
+and `leave()` a step runs on row r alone, so its predict reads the kept
 score, a projection or mtforg's update reads the block's column, and no
 kernel is evaluated. An insert writes the new slot's row of the block for
-the later rows, from the window's own kernels; an eviction writes
-nothing, as a freed slot's weight is 0 until an insert reuses it.
-`rescore` re-scores the later rows in one product with the weights (in
-single mode, each row with its task's weights). Kernels are only ever
-evaluated by kernels.dense_kernel_vector.
+the later rows, from the window's own kernels. A set without H^-1 keeps
+the later rows' scores current through the step, in O(window) a change:
+an insert adds its weight times that row, an eviction takes off the
+evictee's weight times its row, and `shrink` scales them. In a set with
+H^-1 a projection or back-projection moves every weight, so `leave`
+re-scores the later rows in one product with the weights (in single mode,
+each row with its task's weights). Kernels are only ever evaluated by
+kernels.dense_kernel_vector.
 """
 
 from __future__ import annotations
@@ -178,7 +181,7 @@ class ActiveSet:
     Every operation takes the instance as a kernels.Query (features folded
     into the normalized kernel, and task), cut by `Prepared.query` for the
     step that uses it; within one step every call gets the same object.
-    `keeps` is "inverse" to keep H^-1, or None to keep no B x B matrix."""
+    `keeps` is "inverse" to keep H^-1, or None (multitask only) to keep no B x B matrix."""
 
     def __init__(self, budget, dim, spec: KernelSpec, model: InteractionModel,
                  kernel_mode="multitask", keeps="inverse"):
@@ -188,6 +191,8 @@ class ActiveSet:
             raise ValueError("bad kernel_mode %r" % kernel_mode)
         if keeps not in ("inverse", None):
             raise ValueError("bad keeps %r" % (keeps,))
+        if kernel_mode == "single" and keeps is None:   # the window's moves need scalar weights
+            raise ValueError("kernel_mode 'single' needs keeps='inverse'")
         require_normalized(spec)
         self.budget = int(budget)
         self.spec = spec
@@ -214,7 +219,8 @@ class ActiveSet:
 
     @property
     def weights(self):
-        """Live view by slot; mutate in place, never keep across inserts."""
+        """Live view by slot; mutate in place, never keep across inserts. In a
+        window's step a set without H^-1 changes it only by insert, evict, shrink."""
         return self._W[..., :self._hi]
 
     @property
@@ -331,7 +337,9 @@ class ActiveSet:
             # the new slot's kernels with the later window rows, from the
             # window's own; an evicted slot needs no write, as its weight
             # stays 0 until an insert reuses it
-            self._block[slot, row + 1:] = self._own[row, row + 1:]
+            later = self._block[slot, row + 1:] = self._own[row, row + 1:]
+            if self._Hinv is None:
+                self._scores[row + 1:] += weight * later
         if self._Hinv is not None:
             # alpha covers the slots before the insert; a new slot extends it
             a = np.append(alpha, 0.0) if slot == alpha.size else alpha.copy()
@@ -350,6 +358,8 @@ class ActiveSet:
         slot = int(self._order[r])
         self._order[r:n - 1] = self._order[r + 1:n]
         self._free.append(slot)
+        if self._Hinv is None and self._row is not None:
+            self._scores[self._row + 1:] -= self._W[slot] * self._block[slot, self._row + 1:]
         self._W[..., slot] = 0.0
         self.n = n - 1
         self._last = None
@@ -382,6 +392,12 @@ class ActiveSet:
             diag = diag + a * a / delta
         return np.sqrt(1.0 / np.maximum(diag, 1e-300))
 
+    def shrink(self, phi):
+        """Scale every weight, and in a window's step the later kept scores, by phi."""
+        self._W[:self._hi] *= phi
+        if self._row is not None:
+            self._scores[self._row + 1:] *= phi
+
     # -- a window of dense queries -------------------------------------
 
     def open_window(self, window):
@@ -389,7 +405,7 @@ class ActiveSet:
         kernel block against every slot, and keep the block and the
         scores. `window` is the kernels.Prepared input of those rows, whose
         folded rows `X` go into the block as they are. Returns the scores,
-        which the set keeps current: between `seek(r)` and `rescore()` a
+        which the set keeps current: between `seek(r)` and `leave()` a
         step may run on row r, and only on it."""
         X, sq, tasks = window.X, window.sq, window.tasks
         cap, store = self._cap, self._store
@@ -410,17 +426,19 @@ class ActiveSet:
 
     def seek(self, row):
         """Let a step run on the window's row `row`, and no other query until
-        `rescore`: its predict reads the kept score, its column is the
+        `leave`: its predict reads the kept score, its column is the
         block's, and an insert of it writes the new slot's kernel values with
         the later rows into the block."""
         self._row = row
 
-    def rescore(self):
-        """Re-score the window rows after the current one under the model
-        the step there left, and leave the row."""
+    def leave(self):
+        """End the step on the current row. A set without H^-1 kept the later
+        rows' scores current through each insert, evict and shrink; in one
+        with H^-1, where a projection or back-projection moves every weight,
+        they are re-scored here in one product."""
         start = self._row + 1
         self._row = None
-        if start < self._scores.size:
+        if self._Hinv is not None:
             self._score_rows(start)
 
     def _score_rows(self, start):

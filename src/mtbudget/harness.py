@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,8 @@ def run_stream(stream: DatasetStream, config: LearnerConfig,
         raise EmptyStream("cannot run a learner on an empty stream")
     if not stream.binary:
         raise ValueError("stream still has real labels; binarize first")
+    if isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral):
+        raise ValueError("epochs must be an integer >= 1, got %r" % (epochs,))
     if epochs < 1:
         raise ValueError("epochs must be >= 1, got %r" % epochs)
     k = config.graph.k

@@ -10,12 +10,15 @@ but the update still fires. Every learner also exposes `mistakes` and
 `active_size`, and takes a window of dense rows at once through
 `step_window(window)`, which cuts a Query and calls `step` only at the
 window's mistakes, all found by one scan (`_scan_window`), and returns
-the score each row predicted from and |S| after each row.
+the score each row predicted from and |S| after each row. The active set
+keeps the later scores current: by each insert, evict and shrink without
+H^-1 (mtrbp, mtforg), and by one re-score per mistake with it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -46,8 +49,9 @@ class LearnerConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError("unknown algorithm %r" % self.algorithm)
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
+        if isinstance(self.budget, bool) or not isinstance(self.budget, numbers.Integral) \
+                or self.budget < 1:
+            raise ValueError("budget must be a positive integer, got %r" % (self.budget,))
         if not (math.isfinite(self.eta) and self.eta >= 0):
             raise ValueError("eta must be finite and >= 0, got %r" % self.eta)
         if self.seed < 0:
@@ -133,7 +137,7 @@ class _KernelLearner:
         def mistake(row):
             s.seek(row)
             self.step(query(row), labels[row])
-            s.rescore()
+            s.leave()
             return s.n
         return scores, _scan_window(self, scores, labels, mistake)
 
@@ -158,7 +162,7 @@ class MTBudgetProjectron(_KernelLearner):
         pre = s.order[:-1]
         beta = s.weights
         damage = (np.abs(beta) * s.leave_one_out_residuals()).take(pre)
-        r = int(np.argmin(damage))
+        r = int(damage.argmin())
         beta_r = float(beta[pre[r]])
         gammas = s.evict(r)
         s.weights[:] += beta_r * gammas
@@ -184,7 +188,7 @@ class MTBudgetProjectron2(_KernelLearner):
         pre = s.order[:-1]      # as in mtbprj
         W = s.weights
         damage = (s.leave_one_out_residuals() * np.linalg.norm(W, axis=0)).take(pre)
-        r = int(np.argmin(damage))
+        r = int(damage.argmin())
         w_r = W[:, pre[r]].copy()
         gammas = s.evict(r)
         W += gammas[None, :] * w_r[:, None] * self.model.columns(s.slot_tasks)
@@ -248,7 +252,7 @@ class MTForgetron(_KernelLearner):
         y_r = 1.0 if beta_r > 0 else -1.0
         phi, psi = compute_phi(beta_r, y_r, f_r, self.deficit,
                                self.mistakes, self.model.cG)
-        s.weights[:] *= phi
+        s.shrink(phi)
         self.scores *= phi
         self.deficit += psi
         return "insert_evict_shrink"

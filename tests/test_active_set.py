@@ -67,6 +67,8 @@ def near_twin(rng, q, resid_sq=4e-10, spec=SPEC):
     (dict(kernel_mode="shared"), "bad kernel_mode 'shared'"),
     (dict(keeps="inverse_gram"), "bad keeps 'inverse_gram'"),
     (dict(keeps="gram"), "bad keeps 'gram'"),
+    # no learner uses it, and a window's moves are written for scalar weights
+    (dict(kernel_mode="single", keeps=None), "kernel_mode 'single' needs keeps='inverse'"),
 ])
 def test_bad_configuration_is_refused(kw, message):
     args = dict(budget=4, dim=6, spec=SPEC, model=MODEL) | kw
@@ -303,12 +305,13 @@ class TestInsertionOrder:
                                   st.integers(0, 2 ** 16)),
                         min_size=1, max_size=40),
            budget=st.integers(1, 6),
-           mode=st.sampled_from(["multitask", "single"]),
-           keeps=st.sampled_from(["inverse", None]))
-    def test_entries_follow_an_insertion_order_list(self, ops, budget, mode, keeps):
+           mode_keeps=st.sampled_from([("multitask", "inverse"), ("multitask", None),
+                                       ("single", "inverse")]))
+    def test_entries_follow_an_insertion_order_list(self, ops, budget, mode_keeps):
         """An insert appends and an eviction closes the gap, so entry j is
         the j-th oldest survivor and entry 0 the oldest: the entries and
         their weights equal a plain list kept in insertion order."""
+        mode, keeps = mode_keeps
         rng = np.random.default_rng(budget)
         s = ActiveSet(budget, 16, SPEC, MODEL, kernel_mode=mode, keeps=keeps)
         kept = []   # (query, weight), oldest first

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import weakref
 
 import numpy as np
@@ -200,6 +201,16 @@ class TestEpochs:
                             kernel=SPEC)
         with pytest.raises(ValueError, match="epochs must be >= 1"):
             run_stream(small_stream(n=20), cfg, epochs=epochs)
+
+    @pytest.mark.parametrize("epochs, shown", [(2.0, "2.0"), (True, "True"), ("2", "'2'")])
+    def test_epochs_must_be_an_integer(self, epochs, shown):
+        # 2.0 once died in numpy, "expected a sequence of integers", and True
+        # ran one pass
+        cfg = LearnerConfig("mtrbp", TaskGraph.complete(3), budget=15, kernel=SPEC)
+        with pytest.raises(ValueError, match="^epochs must be an integer >= 1, got %s$"
+                           % re.escape(shown)):
+            run_stream(small_stream(n=20), cfg, epochs=epochs)
+        assert run_stream(small_stream(n=20), cfg, epochs=np.int64(2)).steps == 40
 
     def test_multiple_epochs_see_more_steps(self):
         stream = small_stream(n=100)

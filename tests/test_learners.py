@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,16 @@ class TestLearnerConfig:
         with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
             cfg(algo, TaskGraph.complete(3), seed=-1)
         assert cfg(algo, TaskGraph.complete(3), seed=0).seed == 0
+
+    @pytest.mark.parametrize("budget, shown", [(2.5, "2.5"), (True, "True"), (0, "0"),
+                                               (3.0, "3.0"), ("4", "'4'")])
+    def test_budget_must_be_a_positive_integer(self, budget, shown):
+        # 2.5 once ran a budget of 2 and True one of 1, while the config
+        # reported the value it was given
+        with pytest.raises(ValueError, match="^budget must be a positive integer, got %s$"
+                           % re.escape(shown)):
+            cfg("mtrbp", TaskGraph.complete(3), budget=budget)
+        assert cfg("mtrbp", TaskGraph.complete(3), budget=np.int64(4)).budget == 4
 
 
 class TestMtbprj:

@@ -11,9 +11,12 @@ the difference scales with the weights: mtbprj2 on a span that saturates
 2.1e-12, while no other case here passes 4e-13.
 
 A window is a slice of the stream's prepared input (`DatasetStream.prepared`),
-which a second run with the same kernel reads again."""
+which a second run with the same kernel reads again. After every step of a
+window, the kept scores of its later rows are also checked, mtforg's
+included, against scores summed from per-pair kernels on the raw rows."""
 
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -21,9 +24,9 @@ import pytest
 from mtbudget import active_set, harness, learners
 from mtbudget.data import DatasetStream, generate_synthetic
 from mtbudget.graph import TaskGraph
-from mtbudget.kernels import KernelSpec, make_queries
+from mtbudget.kernels import KernelSpec, MultitaskInstance, SparseVector, make_queries
 from mtbudget.learners import LearnerConfig, make_learner
-from support import queries_in
+from support import inverse_of, mt_kernel, queries_in
 
 KERNELS = ["linear:norm", "poly:2:1:norm", "gauss:0.5"]
 GRAPHS = {"complete": TaskGraph.complete(3), "edgeless": TaskGraph.edgeless(3)}
@@ -271,3 +274,118 @@ def test_battery_windows_compute_no_kernel_at_a_mistake(monkeypatch, kernel):
     assert windows[-1]["tasks"] == 3
     assert len(steps) == metrics.mistakes > 0
     assert steps == [("insert", [])] * metrics.mistakes
+
+
+def oracle_stream():
+    """The n = 150 stream of the budget-12 case above, which evicts and
+    then reuses a slot inside one window."""
+    return generate_synthetic(3, 20, 150, 0.6, 0.2, seed=162)[0]
+
+
+@lru_cache(maxsize=None)
+def oracle_gram(kernel, single):
+    """The configured kernel of every pair of the oracle stream's raw rows,
+    by `mt_kernel`, with M inverted from the complete graph's edges; in
+    single mode, with all couplings 1 (the base kernel)."""
+    stream, spec = oracle_stream(), KernelSpec.parse(kernel)
+    M = np.ones((3, 3)) if single else inverse_of(GRAPHS["complete"])
+    bounds = stream.indptr.tolist()
+    rows = [MultitaskInstance(SparseVector(stream.ids[a:b], stream.values[a:b]), int(t))
+            for a, b, t in zip(bounds, bounds[1:], stream.tasks.tolist())]
+    gram = np.empty((len(rows), len(rows)))
+    for i, a in enumerate(rows):
+        for j in range(i, len(rows)):
+            gram[i, j] = gram[j, i] = mt_kernel(a, rows[j], M, spec)
+    return gram
+
+
+@pytest.mark.filterwarnings("ignore:mtforg mistake bound")
+@pytest.mark.parametrize("budget", [12, 40])
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("algo", ["mtbprj", "mtbprj2", "mtrbp", "mtforg"])
+def test_kept_scores_match_an_oracle_after_every_step(monkeypatch, algo, kernel, budget):
+    """After every step of a window, the set's kept scores of the later rows
+    are those rows' scores under its current weights, summed from per-pair
+    kernels on the raw rows: a set without H^-1 moves them at each insert,
+    eviction and shrink, and one with H^-1 re-scores them. Within 1e-12 per
+    unit of the largest weight."""
+    stream = oracle_stream()
+    config = LearnerConfig(algo, GRAPHS["complete"], budget, eta=0.05,
+                           kernel=KernelSpec.parse(kernel), seed=3)
+    gram = oracle_gram(kernel, algo == "mtbprj2")
+    tasks = stream.tasks - 1
+    checked, windows = [], []
+    real = harness.make_learner
+
+    def make(config, dim):
+        learner = real(config, dim)
+        s = learner.active_set
+        insert, evict, leave, step_window = s.insert, s.evict, s.leave, learner.step_window
+        source = np.zeros(budget + 1, dtype=np.int64)  # the stream row in each slot
+        start = [0]
+
+        def recorded_window(window):
+            windows.append(Counter())
+            out = step_window(window)
+            start[0] += len(window.labels)
+            return out
+
+        def recorded_insert(query, weight, force=False):
+            hi = s._hi
+            slot = insert(query, weight, force)
+            source[slot] = start[0] + s._row
+            windows[-1]["reuse"] += slot < hi
+            return slot
+
+        def recorded_evict(r):
+            windows[-1]["evict"] += 1
+            return evict(r)
+
+        def checked_leave():
+            row, kept = s._row, s._scores
+            leave()
+            later = np.arange(start[0] + row + 1, start[0] + kept.size)
+            live, W = s.order, s.weights
+            terms = gram[np.ix_(source[live], later)]
+            if s.kernel_mode == "single":   # each row with its task's weights
+                want = (W[np.ix_(tasks[later], live)] * terms.T).sum(axis=1)
+            else:
+                want = W[live] @ terms
+            scale = max(1.0, float(np.max(np.abs(W))))
+            assert np.max(np.abs(kept[row + 1:] - want), initial=0.0) <= 1e-12 * scale
+            checked.append(row)
+
+        s.insert, s.evict, s.leave = recorded_insert, recorded_evict, checked_leave
+        learner.step_window = recorded_window
+        return learner
+
+    monkeypatch.setattr(harness, "make_learner", make)
+    metrics = harness.run_stream(stream, config)
+    assert len(checked) == metrics.mistakes > 0
+    assert len(windows) == 3
+    if budget == 12:    # an eviction and a reuse inside one window
+        assert any(w["evict"] and w["reuse"] for w in windows)
+
+
+@pytest.mark.filterwarnings("ignore:mtforg mistake bound")
+@pytest.mark.parametrize("algo", ["mtbprj", "mtbprj2", "mtrbp", "mtforg"])
+def test_only_sets_with_an_inverse_rescore_at_a_mistake(monkeypatch, algo):
+    """A window is scored in one product. After that, a set without H^-1
+    keeps its scores current by the moves of each insert, eviction and
+    shrink and never re-scores; one with H^-1 re-scores once per mistake."""
+    calls = []
+    real = active_set.ActiveSet._score_rows
+
+    def counted(self, start):
+        calls.append(start)
+        return real(self, start)
+
+    monkeypatch.setattr(active_set.ActiveSet, "_score_rows", counted)
+    config = LearnerConfig(algo, GRAPHS["complete"], 12, eta=0.05, seed=3)
+    metrics = harness.run_stream(oracle_stream(), config, epochs=2)
+    windows = 3 * 2
+    assert calls.count(0) == windows and metrics.mistakes > 0
+    if algo in ("mtbprj", "mtbprj2"):
+        assert len(calls) == windows + metrics.mistakes
+    else:
+        assert len(calls) == windows
